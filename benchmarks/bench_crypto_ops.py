@@ -10,9 +10,10 @@ Two entry points:
   timings for each primitive (including the roster-16 group operations and
   the batch verifier).
 * ``python benchmarks/bench_crypto_ops.py [--quick]`` — compares the
-  accelerated hot paths (fixed-base tables, multi-exp, batch verification;
-  see DESIGN.md §1.1) against in-file replicas of the pre-acceleration
-  implementations and writes machine-readable speedups to
+  accelerated hot paths (fixed-base tables, multi-exp, batch verification,
+  the group-signature fast path; see DESIGN.md §1.1) against in-file
+  replicas of the pre-acceleration implementations at 512/160 and
+  1024/160, and writes machine-readable speedups to
   ``benchmarks/out/BENCH_crypto.json``.  ``--quick`` restricts to the
   512-bit group with fewer repetitions (the CI smoke configuration).
 """
@@ -27,8 +28,19 @@ from _common import OUT_DIR
 
 from repro.crypto import fastexp, primitives
 from repro.crypto.dsa import dsa_batch_verify, dsa_generate, dsa_sign, dsa_verify
-from repro.crypto.elgamal import elgamal_decrypt, elgamal_encrypt, elgamal_generate
-from repro.crypto.group_signature import GroupManager, _challenge_hash, group_sign, group_verify
+from repro.crypto.elgamal import (
+    ElGamalCiphertext,
+    elgamal_decrypt,
+    elgamal_encrypt,
+    elgamal_generate,
+)
+from repro.crypto.group_signature import (
+    GroupManager,
+    GroupSignature,
+    _challenge_hash,
+    group_sign,
+    group_verify,
+)
 from repro.crypto.hashchain import HashChain, verify_chain_link
 from repro.crypto.params import PARAMS_1024_160, PARAMS_TEST_512
 from repro.crypto.schnorr import schnorr_batch_verify, schnorr_prove, schnorr_verify
@@ -181,6 +193,52 @@ def baseline_dsa_verify(public, message, signature) -> bool:
     return v == r
 
 
+def baseline_group_sign(gpk, member, message):
+    """Pre-acceleration ``group_sign``: per-clause pows and inversions."""
+    params = gpk.params
+    p, q, g = params.p, params.q, params.g
+    y = gpk.opening_key.y
+    idx = gpk.roster_index(member.h)
+    r = params.random_exponent()
+    c1 = pow(g, r, p)
+    c2 = (member.h * pow(y, r, p)) % p
+    ciphertext = ElGamalCiphertext(c1=c1, c2=c2)
+    n = len(gpk.roster)
+    challenges = [0] * n
+    responses_r = [0] * n
+    responses_x = [0] * n
+    commitments = [(0, 0, 0)] * n
+    c1_inv = primitives.modinv(c1, p)
+    for j, h_j in enumerate(gpk.roster):
+        if j == idx:
+            continue
+        c_j = primitives.randbelow(q)
+        s_r = primitives.randbelow(q)
+        s_x = primitives.randbelow(q)
+        ratio = (c2 * primitives.modinv(h_j, p)) % p  # c2 / h_j
+        t1 = (pow(g, s_r, p) * pow(c1_inv, c_j, p)) % p
+        t2 = (pow(y, s_r, p) * pow(primitives.modinv(ratio, p), c_j, p)) % p
+        t3 = (pow(g, s_x, p) * pow(primitives.modinv(h_j, p), c_j, p)) % p
+        challenges[j] = c_j
+        responses_r[j] = s_r
+        responses_x[j] = s_x
+        commitments[j] = (t1, t2, t3)
+    a = params.random_exponent()
+    b = params.random_exponent()
+    commitments[idx] = (pow(g, a, p), pow(y, a, p), pow(g, b, p))
+    total = _challenge_hash(gpk, ciphertext, commitments, message)
+    c_idx = (total - sum(challenges)) % q
+    challenges[idx] = c_idx
+    responses_r[idx] = (a + c_idx * r) % q
+    responses_x[idx] = (b + c_idx * member.x) % q
+    return GroupSignature(
+        ciphertext=ciphertext,
+        challenges=tuple(challenges),
+        responses_r=tuple(responses_r),
+        responses_x=tuple(responses_x),
+    )
+
+
 def baseline_group_verify(gpk, message, signature) -> bool:
     """Pre-acceleration ``group_verify``: per-clause pows and inversions."""
     params = gpk.params
@@ -277,6 +335,14 @@ def run_comparison(quick: bool = False) -> dict:
         gpk = manager.public_key()
         gsig = group_sign(gpk, members[0], message)
         group_verify(gpk, message, gsig)  # warm roster/opening tables
+        assert group_verify(gpk, message, baseline_group_sign(gpk, members[0], message))
+        _compare(
+            "group_sign_roster16",
+            lambda: baseline_group_sign(gpk, members[0], message),
+            lambda: group_sign(gpk, members[0], message),
+            max(3, repeat // 3),
+            results,
+        )
         _compare(
             "group_verify_roster16",
             lambda: baseline_group_verify(gpk, message, gsig),
@@ -287,6 +353,15 @@ def run_comparison(quick: bool = False) -> dict:
         report["groups"][label] = results
 
     return report
+
+
+#: Acceptance floors (DESIGN §1.1): 1.8x on DSA verification, 2x on group
+#: verification at roster 16, and 5x on group signing at roster 16.  The
+#: signing floor is ~0.7x the lowest quick-mode ratio measured for the
+#: reparametrised signer (7.1x; the pre-reparametrisation signer measured
+#: 3.4x, so a regression to it fails) — the same margin the verify floor
+#: keeps below its first committed ratio (2.75x).
+SPEEDUP_FLOORS = {"dsa_verify": 1.8, "group_verify_roster16": 2.0, "group_sign_roster16": 5.0}
 
 
 def main() -> int:
@@ -307,19 +382,12 @@ def main() -> int:
         json.dump(report, fh, indent=2)
     print(f"wrote {args.out}")
 
-    # Acceptance floors (ISSUE / DESIGN §1.1): 1.8x on DSA verification,
-    # 2x on group verification at roster 16.
     ok = True
     for label, results in report["groups"].items():
-        if results["dsa_verify"]["speedup"] < 1.8:
-            print(f"FAIL {label}: dsa_verify speedup {results['dsa_verify']['speedup']} < 1.8")
-            ok = False
-        if results["group_verify_roster16"]["speedup"] < 2.0:
-            print(
-                f"FAIL {label}: group_verify_roster16 speedup "
-                f"{results['group_verify_roster16']['speedup']} < 2.0"
-            )
-            ok = False
+        for name, floor in SPEEDUP_FLOORS.items():
+            if results[name]["speedup"] < floor:
+                print(f"FAIL {label}: {name} speedup {results[name]['speedup']} < {floor}")
+                ok = False
     print("speedup floors met" if ok else "speedup floors NOT met")
     return 0 if ok else 1
 

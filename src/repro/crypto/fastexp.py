@@ -12,11 +12,14 @@ transparently:
   (Brickell–Gordon–McCurley–Wilson).  A one-time table of
   ``base**(j * 2**(w*i))`` turns every later exponentiation into
   ``ceil(bits/w)`` modular multiplications and **zero** squarings — measured
-  4–6× faster than CPython's native ``pow`` at our parameter sizes.
+  4–6× faster than CPython's native ``pow`` at our parameter sizes.  The
+  window is per table: the two hottest bases get :data:`WIDE_WINDOW`.
 * :func:`multi_exp` — simultaneous multi-exponentiation.  Cached bases are
   resolved through their tables; the remaining ad-hoc bases share one
   interleaved square-and-multiply loop (Straus/Shamir), so a product of
   ``k`` exponentiations costs one set of squarings instead of ``k``.
+* :func:`batch_inverse` — Montgomery's trick: ``n`` modular inverses for
+  one inversion plus ``3n`` multiplications.
 * An **auto-promotion cache**: any base seen :data:`PROMOTE_AFTER` times for
   the same modulus gets a table built and cached (bounded LRU).  Long-lived
   keys therefore accelerate themselves; one-shot bases never pay the table
@@ -41,6 +44,7 @@ __all__ = [
     "FixedBaseTable",
     "fixed_base",
     "precompute",
+    "batch_inverse",
     "mod_pow",
     "multi_exp",
     "is_member",
@@ -60,6 +64,15 @@ PROMOTE_AFTER = 2
 #: table lives for many uses.
 CACHED_WINDOW = 5
 
+#: Window width for the two hottest bases: the generator ``g``
+#: (:meth:`repro.crypto.params.DlogParams.fixed_g`) and the judge's opening
+#: key (:class:`repro.crypto.group_signature.GroupManager`).  Signing and
+#: verifying a group signature each exponentiate ``g`` twice and the opening
+#: key once per roster member, so a ~0.9 MB table (1024-bit ``p``, 160-bit ``q``; ~10 ms to build) that cuts
+#: each exponentiation from 32 to 20 multiplications pays for itself within
+#: one signature.  Roster keys keep :data:`CACHED_WINDOW` to bound memory.
+WIDE_WINDOW = 8
+
 #: Window width for ephemeral tables built for one signature's worth of
 #: uses (e.g. the ciphertext bases inside a group-signature roster loop).
 EPHEMERAL_WINDOW = 4
@@ -74,6 +87,7 @@ _STRAUS_WINDOW = 4
 _PIPPENGER_MIN = 16
 
 _MAX_TABLES = 256  # cached FixedBaseTable entries (LRU)
+_MAX_WIDE_TABLES = 8  # of which wider than CACHED_WINDOW (LRU among themselves)
 _MAX_COUNTS = 8192  # promotion counters before mass eviction
 _MAX_MEMBERS = 8192  # memoized positive membership checks
 
@@ -200,24 +214,61 @@ def _lookup(base: int, modulus: int) -> FixedBaseTable | None:
     return table
 
 
-def precompute(base: int, modulus: int, max_bits: int, order: int | None = None) -> FixedBaseTable:
+def precompute(
+    base: int,
+    modulus: int,
+    max_bits: int,
+    order: int | None = None,
+    window: int = CACHED_WINDOW,
+) -> FixedBaseTable:
     """Build (or fetch) the cached table for ``(base, modulus)``.
 
     Call this eagerly for keys known to be long-lived — the generator, the
     judge's opening key, roster membership keys — to skip the promotion
-    warm-up entirely.
+    warm-up entirely.  A cached table is reused when it covers ``max_bits``
+    with at least ``window``; a narrower one is rebuilt (never downgraded:
+    the rebuild keeps the wider of the two windows).
     """
     key = (base, modulus)
     table = _lookup(base, modulus)
-    if table is not None and table.max_bits >= max_bits:
-        return table
-    table = FixedBaseTable(base, modulus, max_bits, window=CACHED_WINDOW, order=order)
+    if table is not None:
+        if table.max_bits >= max_bits and table.window >= window:
+            return table
+        window = max(window, table.window)
+    table = FixedBaseTable(base, modulus, max_bits, window=window, order=order)
     _tables[key] = table
     _tables.move_to_end(key)
     while len(_tables) > _MAX_TABLES:
         _tables.popitem(last=False)
+    if window > CACHED_WINDOW:
+        wide = [k for k, held in _tables.items() if held.window > CACHED_WINDOW]
+        for stale in wide[: max(0, len(wide) - _MAX_WIDE_TABLES)]:
+            del _tables[stale]
     _use_counts.pop(key, None)
     return table
+
+
+def batch_inverse(values: list[int], modulus: int) -> list[int]:
+    """Modular inverses of every element of ``values`` (Montgomery's trick).
+
+    One native inversion plus three multiplications per element, instead of
+    one inversion each.  Every value must be invertible modulo ``modulus``
+    (our callers pass subgroup elements modulo a prime); an empty list
+    returns an empty list.
+    """
+    if not values:
+        return []
+    prefix = [0] * len(values)
+    acc = 1
+    for i, value in enumerate(values):
+        prefix[i] = acc
+        acc = (acc * value) % modulus
+    inv = pow(acc, -1, modulus)  # inverse of the whole product
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = (inv * prefix[i]) % modulus
+        inv = (inv * values[i]) % modulus
+    return out
 
 
 def fixed_base(base: int, modulus: int) -> FixedBaseTable | None:
@@ -344,14 +395,12 @@ def multi_exp(
     pairs,
     modulus: int,
     order: int | None = None,
-    tables: dict[int, FixedBaseTable] | None = None,
     promote: bool = True,
 ) -> int:
     """``prod(base**exp) mod modulus`` for a sequence of ``(base, exp)``.
 
-    The workhorse behind ``dsa_verify``'s ``g**u1 * y**u2`` and the
-    group-signature clause equations.  Each base is resolved in order of
-    preference: caller-supplied ephemeral ``tables`` (keyed by base), the
+    The workhorse behind ``dsa_verify``'s ``g**u1 * y**u2`` and the batched
+    signature checks.  Each base is resolved in order of preference: the
     global fixed-base cache, then one shared loop for whatever is left —
     Straus interleaving for a few bases, the bucket method
     (:func:`_pippenger`) once there are :data:`_PIPPENGER_MIN` or more (a
@@ -374,11 +423,9 @@ def multi_exp(
             continue
         if base == 0:
             return 0
-        table = tables.get(base) if tables else None
-        if table is None:
-            table = _lookup(base, modulus)
-            if table is None and promote and exponent.bit_length() <= max_bits:
-                table = _note_use(base, modulus, max_bits, order)
+        table = _lookup(base, modulus)
+        if table is None and promote and exponent.bit_length() <= max_bits:
+            table = _note_use(base, modulus, max_bits, order)
         if table is not None:
             result = (result * table.pow(exponent)) % modulus
         else:

@@ -27,6 +27,20 @@ opening key*:
 3. The judge opens a signature by decrypting ``(c1, c2)`` and looking up the
    resulting ``h_i`` in its registry.
 
+Cost (DESIGN.md §1.1).  Both sides stay exact; only the arithmetic is
+arranged so that almost every exponentiation hits a cached fixed-base table:
+
+* The signer simulates each non-signer clause ``j`` with the response
+  ``s_r = e_j + r*c_j`` for a uniform ``e_j`` — a bijection of ``Z_q``, so the
+  signature distribution is unchanged — which turns the clause commitments
+  into ``t1 = g^{e_j}`` and ``t2 = y_J^{e_j} * h_j^{c_j} * h^{-c_j}`` (``h``
+  the signer's own roster key).  Signing never exponentiates the
+  per-signature ``c1``/``c2``, and the long-term secret ``x_i`` only enters
+  the signer's own clause.
+* Signer and verifier obtain every ``h_j^{-c_j}`` from one Montgomery batch
+  inversion of the ``h_j^{c_j}`` values they compute anyway.
+* ``g`` and ``y_J`` use wide-window tables (``fastexp.WIDE_WINDOW``).
+
 Deviation note (recorded in DESIGN.md §4): the paper assumes a hypothetical
 "efficient group signature scheme" with constant-size signatures and guesses
 its cost at 2x DSA (Table 3).  Our scheme is a real, working one but its
@@ -39,7 +53,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.crypto import fastexp, primitives
 from repro.crypto.elgamal import ElGamalCiphertext, ElGamalKeyPair, elgamal_generate
@@ -150,10 +164,8 @@ class GroupManager:
         self.params = params or default_params()
         self._opening = elgamal_generate(self.params)
         # The opening key is exponentiated in every clause of every signature
-        # for the lifetime of the group: precompute its fixed-base table now.
-        fastexp.precompute(
-            self._opening.public.y, self.params.p, self.params.q_bits, order=self.params.q
-        )
+        # for the lifetime of the group: precompute its wide table now.
+        _opening_table(self.params, self._opening.public.y)
         self._registry: dict[int, str] = {}  # h -> identity
         # Snapshot history: version v is _snapshots[v].  Every registration
         # and every expulsion appends a snapshot, so old signatures remain
@@ -269,28 +281,44 @@ def _challenge_hash(
     return primitives.hash_to_int(*parts, modulus=gpk.params.q)
 
 
+def _opening_table(params: DlogParams, y: int) -> fastexp.FixedBaseTable:
+    """The cached wide-window table for the judge's opening key ``y``.
+
+    ``y`` is exponentiated in every clause of every signature for the
+    lifetime of the group, so it gets :data:`fastexp.WIDE_WINDOW`, like
+    ``g`` (:meth:`DlogParams.fixed_g`).
+    """
+    return fastexp.precompute(
+        y, params.p, params.q_bits, order=params.q, window=fastexp.WIDE_WINDOW
+    )
+
+
 #: Build per-signature fixed-base tables for the ciphertext elements once
 #: the roster reaches this size (below it, table construction outweighs the
 #: lookups it saves).
 _EPHEMERAL_TABLE_MIN_ROSTER = 6
 
 
-def _ciphertext_tables(
+def _ciphertext_pows(
     params: DlogParams, c1: int, c2: int, n: int
-) -> dict[int, fastexp.FixedBaseTable]:
-    """Ephemeral fixed-base tables for ``c1``/``c2``, used ``n`` times each.
+) -> tuple[Callable[[int], int], Callable[[int], int]]:
+    """``e -> c1**e`` and ``e -> c2**e`` for a verifier that needs ``n`` of each.
 
     Every clause of the OR-proof exponentiates both ciphertext halves, so a
-    roster of ``n`` members amortizes the one-off table build ``n`` times.
+    roster of ``n`` members amortizes a one-off ephemeral table build ``n``
+    times; below :data:`_EPHEMERAL_TABLE_MIN_ROSTER` plain ``pow`` is cheaper.
+    The bases are never promoted into the global cache: they are one-shot.
     """
+    p = params.p
     if n < _EPHEMERAL_TABLE_MIN_ROSTER:
-        return {}
-    return {
+        return (lambda e: pow(c1, e, p)), (lambda e: pow(c2, e, p))
+    tables = {
         base: fastexp.FixedBaseTable(
-            base, params.p, params.q_bits, window=fastexp.EPHEMERAL_WINDOW, order=params.q
+            base, p, params.q_bits, window=fastexp.EPHEMERAL_WINDOW, order=params.q
         )
         for base in (c1, c2)  # keyed dict dedupes c1 == c2 deterministically
     }
+    return tables[c1].pow, tables[c2].pow
 
 
 def group_sign(gpk: GroupPublicKey, member: GroupMemberKey, message: bytes) -> GroupSignature:
@@ -300,23 +328,34 @@ def group_sign(gpk: GroupPublicKey, member: GroupMemberKey, message: bytes) -> G
     snapshot that predates the member's registration raises
     :class:`GroupSignatureError`.
 
-    All clause equations are computed inversion-free: every base here is an
-    order-``q`` element by construction, so ``base**-c == base**(q-c)`` and
-    each commitment becomes one simultaneous multi-exponentiation over
-    cached (``g``, ``y``, roster) and per-signature (``c1``, ``c2``) tables.
+    Each non-signer clause ``j`` is simulated with a uniform challenge
+    ``c_j``, a uniform ``s_x`` and the response ``s_r = e_j + r*c_j`` for a
+    uniform ``e_j``.  For fixed ``r`` and ``c_j`` that map is a bijection of
+    ``Z_q``, so ``s_r`` is exactly as uniform as a directly drawn one and the
+    signature distribution is unchanged; but the clause commitments collapse
+    onto bases with cached tables (``g``, ``y``, roster keys)::
+
+        t1 = g**s_r * c1**-c_j        = g**e_j
+        t2 = y**s_r * (c2/h_j)**-c_j  = y**e_j * h_j**c_j * h**(q-c_j)
+        t3 = g**s_x * h_j**-c_j
+
+    where ``h`` is the signer's own roster key.  No exponentiation of the
+    per-signature ``c1``/``c2`` remains, the long-term secret ``x`` stays out
+    of the loop, and every ``h_j**-c_j`` comes from one batch inversion of
+    the ``h_j**c_j`` already computed for ``t2``.
     """
     params = gpk.params
-    p, q, g = params.p, params.q, params.g
-    y = gpk.opening_key.y
-    idx = gpk.roster_index(member.h)
+    p, q = params.p, params.q
+    g_pow = params.fixed_g().pow
+    y_pow = _opening_table(params, gpk.opening_key.y).pow
+    h = member.h
+    idx = gpk.roster_index(h)
     if idx is None:
         raise GroupSignatureError("signer is not in the roster snapshot")
 
     # ElGamal-encrypt the signer's membership key, keeping the nonce for the proof.
     r = params.random_exponent()
-    c1 = params.pow_g(r)
-    c2 = (member.h * fastexp.mod_pow(y, r, p, order=q)) % p
-    ciphertext = ElGamalCiphertext(c1=c1, c2=c2)
+    ciphertext = ElGamalCiphertext(c1=g_pow(r), c2=(h * y_pow(r)) % p)
 
     n = len(gpk.roster)
     challenges: list[int] = [0] * n
@@ -324,33 +363,29 @@ def group_sign(gpk: GroupPublicKey, member: GroupMemberKey, message: bytes) -> G
     responses_x: list[int] = [0] * n
     commitments: list[tuple[int, int, int]] = [(0, 0, 0)] * n
 
-    tables = _ciphertext_tables(params, c1, c2, n)
-    # Simulate every non-signer clause with a random challenge.
-    for j, h_j in enumerate(gpk.roster):
-        if j == idx:
-            continue
+    # Simulate every non-signer clause with a random challenge; t3 waits
+    # for the batch inversion of the h_j**c_j values.
+    simulated = [j for j in range(n) if j != idx]
+    h_pows: list[int] = []
+    partial: list[tuple[int, int, int]] = []  # (t1, t2, g**s_x)
+    for j in simulated:
         c_j = primitives.randbelow(q)
-        s_r = primitives.randbelow(q)
+        e_j = primitives.randbelow(q)
         s_x = primitives.randbelow(q)
-        # t1 = g**s_r * c1**-c_j ; t2 = y**s_r * (c2/h_j)**-c_j ; t3 = g**s_x * h_j**-c_j
-        t1 = fastexp.multi_exp(((g, s_r), (c1, q - c_j)), p, order=q, tables=tables)
-        t2 = fastexp.multi_exp(
-            ((y, s_r), (h_j, c_j), (c2, q - c_j)), p, order=q, tables=tables
-        )
-        t3 = fastexp.multi_exp(((g, s_x), (h_j, q - c_j)), p, order=q)
+        h_c = fastexp.mod_pow(gpk.roster[j], c_j, p, order=q)
+        t2 = y_pow(e_j) * h_c % p * fastexp.mod_pow(h, q - c_j, p, order=q) % p
         challenges[j] = c_j
-        responses_r[j] = s_r
+        responses_r[j] = (e_j + r * c_j) % q
         responses_x[j] = s_x
-        commitments[j] = (t1, t2, t3)
+        h_pows.append(h_c)
+        partial.append((g_pow(e_j), t2, g_pow(s_x)))
+    for j, (t1, t2, g_sx), h_inv in zip(simulated, partial, fastexp.batch_inverse(h_pows, p)):
+        commitments[j] = (t1, t2, g_sx * h_inv % p)
 
     # Honest commitment for the signer's clause.
     a = params.random_exponent()
     b = params.random_exponent()
-    commitments[idx] = (
-        params.pow_g(a),
-        fastexp.mod_pow(y, a, p, order=q),
-        params.pow_g(b),
-    )
+    commitments[idx] = (g_pow(a), y_pow(a), g_pow(b))
 
     total = _challenge_hash(gpk, ciphertext, commitments, message)
     c_idx = (total - sum(challenges)) % q
@@ -375,38 +410,47 @@ def group_verify(gpk: GroupPublicKey, message: bytes, signature: GroupSignature)
     Both ciphertext halves must be order-``q`` subgroup elements.  Honest
     signers always produce such ciphertexts; the explicit check (absent from
     the original verifier) rejects malformed ones outright *and* licenses
-    the inversion-free ``base**-c == base**(q-c)`` rewriting that turns
-    every clause into table lookups.  Roster keys and the opening key are
-    trusted verifier inputs (they come from the judge), exactly as before.
+    the inversion-free ``base**-c == base**(q-c)`` rewriting for ``c1`` and
+    ``c2``.  The roster terms ``h_j**-c_j`` come from one batch inversion of
+    the ``h_j**c_j`` values the second clause equation needs anyway.  Roster
+    keys and the opening key are trusted verifier inputs (they come from
+    the judge), exactly as before.
     """
     params = gpk.params
-    p, q, g = params.p, params.q, params.g
-    y = gpk.opening_key.y
+    p, q = params.p, params.q
     n = len(gpk.roster)
-    if not (len(signature.challenges) == len(signature.responses_r) == len(signature.responses_x) == n):
+    challenges = signature.challenges
+    responses_r = signature.responses_r
+    responses_x = signature.responses_x
+    if not (len(challenges) == len(responses_r) == len(responses_x) == n):
         return False
     c1, c2 = signature.ciphertext.c1, signature.ciphertext.c2
     if not (params.is_element(c1) and params.is_element(c2)):
         return False
+    if not all(
+        0 <= c_j < q and 0 <= s_r < q and 0 <= s_x < q
+        for c_j, s_r, s_x in zip(challenges, responses_r, responses_x)
+    ):
+        return False
 
-    tables = _ciphertext_tables(params, c1, c2, n)
-    commitments: list[tuple[int, int, int]] = []
-    for j, h_j in enumerate(gpk.roster):
-        c_j = signature.challenges[j]
-        s_r = signature.responses_r[j]
-        s_x = signature.responses_x[j]
-        if not (0 <= c_j < q and 0 <= s_r < q and 0 <= s_x < q):
-            return False
-        # t1 = g**s_r * c1**-c_j ; t2 = y**s_r * (c2/h_j)**-c_j ; t3 = g**s_x * h_j**-c_j
-        t1 = fastexp.multi_exp(((g, s_r), (c1, q - c_j)), p, order=q, tables=tables)
-        t2 = fastexp.multi_exp(
-            ((y, s_r), (h_j, c_j), (c2, q - c_j)), p, order=q, tables=tables
+    g_pow = params.fixed_g().pow
+    y_pow = _opening_table(params, gpk.opening_key.y).pow
+    c1_pow, c2_pow = _ciphertext_pows(params, c1, c2, n)
+    h_pows = [fastexp.mod_pow(h_j, c_j, p, order=q) for h_j, c_j in zip(gpk.roster, challenges)]
+    # t1 = g**s_r * c1**-c_j ; t2 = y**s_r * (c2/h_j)**-c_j ; t3 = g**s_x * h_j**-c_j
+    commitments = [
+        (
+            g_pow(s_r) * c1_pow(q - c_j) % p,
+            y_pow(s_r) * h_c % p * c2_pow(q - c_j) % p,
+            g_pow(s_x) * h_inv % p,
         )
-        t3 = fastexp.multi_exp(((g, s_x), (h_j, q - c_j)), p, order=q)
-        commitments.append((t1, t2, t3))
+        for c_j, s_r, s_x, h_c, h_inv in zip(
+            challenges, responses_r, responses_x, h_pows, fastexp.batch_inverse(h_pows, p)
+        )
+    ]
 
     total = _challenge_hash(gpk, signature.ciphertext, commitments, message)
-    return sum(signature.challenges) % q == total
+    return sum(challenges) % q == total
 
 
 #: Bit width of the per-clause randomizers in the batched equation test.

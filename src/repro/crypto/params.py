@@ -50,9 +50,12 @@ class DlogParams:
         """The (cached) fixed-base table for the generator.
 
         Every scheme exponentiates ``g`` constantly, so the table is built
-        on first use and shared process-wide through the fastexp cache.
+        on first use, with the wide window (:data:`fastexp.WIDE_WINDOW`),
+        and shared process-wide through the fastexp cache.
         """
-        return fastexp.precompute(self.g, self.p, self.q_bits, order=self.q)
+        return fastexp.precompute(
+            self.g, self.p, self.q_bits, order=self.q, window=fastexp.WIDE_WINDOW
+        )
 
     def pow_g(self, exponent: int) -> int:
         """``g ** exponent mod p`` through the fixed-base table."""

@@ -53,6 +53,53 @@ class TestFixedBaseTable:
             assert table.pow(e) == pow(P.g, e, P.p)
 
 
+class TestTableWindows:
+    def test_wide_precompute_upgrades_a_narrow_cached_table(self):
+        narrow = fastexp.precompute(P.g, P.p, P.q.bit_length(), order=P.q)
+        assert narrow.window == fastexp.CACHED_WINDOW
+        wide = fastexp.precompute(
+            P.g, P.p, P.q.bit_length(), order=P.q, window=fastexp.WIDE_WINDOW
+        )
+        assert wide.window == fastexp.WIDE_WINDOW
+        assert fastexp.fixed_base(P.g, P.p) is wide
+        for e in (0, 1, P.q - 1, secrets.randbelow(P.q), secrets.randbelow(P.q)):
+            assert wide.pow(e) == pow(P.g, e, P.p)
+            assert fastexp.mod_pow(P.g, e, P.p, order=P.q) == pow(P.g, e, P.p)
+
+    def test_narrow_request_never_downgrades_a_wide_table(self):
+        wide = fastexp.precompute(
+            P.g, P.p, P.q.bit_length(), order=P.q, window=fastexp.WIDE_WINDOW
+        )
+        assert fastexp.precompute(P.g, P.p, P.q.bit_length(), order=P.q) is wide
+        # A rebuild for more bits keeps the wide window.
+        wider = fastexp.precompute(P.g, P.p, P.p.bit_length())
+        assert wider.window == fastexp.WIDE_WINDOW
+        e = secrets.randbelow(P.p)
+        assert wider.pow(e) == pow(P.g, e, P.p)
+
+    def test_wide_tables_are_capped(self):
+        bases = [pow(P.g, 1000 + i, P.p) for i in range(fastexp._MAX_WIDE_TABLES + 2)]
+        for base in bases:
+            fastexp.precompute(base, P.p, 16, window=fastexp.WIDE_WINDOW)
+        # The oldest wide tables went; the newest stayed.
+        assert fastexp.fixed_base(bases[0], P.p) is None
+        assert fastexp.fixed_base(bases[1], P.p) is None
+        assert all(fastexp.fixed_base(b, P.p) is not None for b in bases[2:])
+
+
+class TestBatchInverse:
+    def test_empty(self):
+        assert fastexp.batch_inverse([], P.p) == []
+
+    def test_single(self):
+        x = pow(P.g, 777, P.p)
+        assert fastexp.batch_inverse([x], P.p) == [pow(x, -1, P.p)]
+
+    def test_many_random(self):
+        values = [secrets.randbelow(P.p - 1) + 1 for _ in range(64)]
+        assert fastexp.batch_inverse(values, P.p) == [pow(v, -1, P.p) for v in values]
+
+
 class TestModPow:
     def test_matches_native(self):
         base = pow(P.g, 12345, P.p)
@@ -98,18 +145,6 @@ class TestMultiExp:
         y = pow(P.g, 4242, P.p)
         pairs = [(P.g, secrets.randbelow(P.q)), (y, secrets.randbelow(P.q))]
         assert fastexp.multi_exp(pairs, P.p, order=P.q) == self._native(pairs, P.p)
-
-    def test_with_ephemeral_tables(self):
-        c1 = pow(P.g, 31337, P.p)
-        tables = {
-            c1: fastexp.FixedBaseTable(
-                c1, P.p, P.q.bit_length(), window=fastexp.EPHEMERAL_WINDOW, order=P.q
-            )
-        }
-        pairs = [(P.g, secrets.randbelow(P.q)), (c1, secrets.randbelow(P.q))]
-        assert fastexp.multi_exp(pairs, P.p, order=P.q, tables=tables) == self._native(
-            pairs, P.p
-        )
 
 
 class TestMembership:
