@@ -9,16 +9,15 @@ against a journaled broker, timing only the broker-side work
 * **baseline** — no verification pool (the broker runs its own scalar
   group check per request) and no group commit (one fsync per request):
   the pre-pipeline state of the repo.
-* **sweep rows** — worker count x batch size.  ``workers=0`` verifies
-  inline (batched, no IPC); ``workers>=1`` forks that many pool
-  processes, each primed with the parent's exported fixed-base tables.
-  The batch size is used for both the verification batch and the
-  group-commit ``max_batch``, so one knob moves both amortizers.
+* **sweep rows** — one per batch size, with the inline verification
+  pool and a group committer.  The batch size is used for both the
+  verification batch and the group-commit ``max_batch``, so one knob
+  moves both amortizers.
 
-On a single-core container the worker rows measure IPC overhead, not
-parallelism — the committed headline speedup comes from the batching
-itself (randomized batch verification + one fsync per batch), which is
-why ``workers=0`` rows are part of the sweep rather than a control.
+Every configuration runs :data:`REPEATS` times, interleaved with the
+others so machine-load drift hits them alike; a row reports its best run
+(the least-perturbed one), every run's rate, and the spread
+``(max - min) / best`` across them.
 
 Entry points:
 
@@ -55,19 +54,15 @@ COINS_PER_PEER = 2
 #: max_delay safety valve for the sweep rows (the committer's injected
 #: timer is wall-clock here — benchmarks are outside the WP102 scope).
 MAX_DELAY_S = 0.05
+#: Runs per configuration; each row reports the best of them.
+REPEATS = 3
 
 
-def run_config(
-    ops_per_round: int,
-    rounds: int,
-    workers: int | None,
-    batch: int,
-    quick: bool,
-) -> dict:
-    """Replay the seeded workload through one pipeline configuration.
+def run_config(ops_per_round: int, rounds: int, batch: int | None) -> dict:
+    """Replay the seeded workload once through one pipeline configuration.
 
-    ``workers=None`` is the baseline: no pool, no committer.  Returns the
-    row dict for the JSON artifact.
+    ``batch=None`` is the baseline: no pool, no committer.  Returns the
+    run's counters and timing.
     """
     with tempfile.TemporaryDirectory() as tmp:
         generator = LoadGenerator(
@@ -79,13 +74,9 @@ def run_config(
         )
         pool = None
         committer = None
-        if workers is not None:
+        if batch is not None:
             pool = VerificationPool(
-                generator.params,
-                generator.broker.public_key,
-                [generator._gpk],
-                workers=workers,
-                chunk_size=batch,
+                generator.params, generator.broker.public_key, [generator._gpk]
             )
             committer = GroupCommitter(
                 generator.broker.store,
@@ -97,72 +88,82 @@ def run_config(
             generator.broker,
             pool=pool,
             committer=committer,
-            verify_batch=batch,
+            verify_batch=batch or 1,
         )
         accepted = 0
         staged = 0
         fsyncs = 0
         elapsed = 0.0
-        try:
-            for _ in range(rounds):
-                requests = generator.make_round(ops_per_round)
-                wire = [(r.kind, r.src, r.data, r.idem) for r in requests]
-                start = time.perf_counter()
-                records, stats = engine.run(wire)
-                elapsed += time.perf_counter() - start
-                generator.absorb(records)
-                accepted += stats.accepted
-                staged += stats.staged
-                fsyncs += stats.fsyncs
-        finally:
-            if pool is not None:
-                pool.close()
+        for _ in range(rounds):
+            requests = generator.make_round(ops_per_round)
+            wire = [(r.kind, r.src, r.data, r.idem) for r in requests]
+            start = time.perf_counter()
+            records, stats = engine.run(wire)
+            elapsed += time.perf_counter() - start
+            generator.absorb(records)
+            accepted += stats.accepted
+            staged += stats.staged
+            fsyncs += stats.fsyncs
         ops = ops_per_round * rounds
         if accepted != ops:
             raise AssertionError(
-                f"workload not fully accepted: {accepted}/{ops} "
-                f"(workers={workers}, batch={batch})"
+                f"workload not fully accepted: {accepted}/{ops} (batch={batch})"
             )
         return {
-            "mode": "baseline" if workers is None else "pipeline",
-            "workers": workers,
-            "batch": None if workers is None else batch,
             "ops": ops,
             "accepted": accepted,
             "staged": staged,
             "fsyncs": fsyncs,
-            "seconds": round(elapsed, 4),
-            "payments_per_sec": round(ops / elapsed, 2),
+            "seconds": elapsed,
         }
 
 
+def _row(batch: int | None, runs: list[dict]) -> dict:
+    """Best-of-``runs`` row with every run's rate and their spread."""
+    rates = [run["ops"] / run["seconds"] for run in runs]
+    best_rate = max(rates)
+    best = runs[rates.index(best_rate)]
+    return {
+        "mode": "baseline" if batch is None else "pipeline",
+        "batch": batch,
+        "ops": best["ops"],
+        "accepted": best["accepted"],
+        "staged": best["staged"],
+        "fsyncs": best["fsyncs"],
+        "seconds": round(best["seconds"], 4),
+        "payments_per_sec": round(best_rate, 2),
+        "repeats_per_sec": [round(rate, 2) for rate in rates],
+        "spread": round((best_rate - min(rates)) / best_rate, 3),
+    }
+
+
 def run_sweep(quick: bool) -> dict:
-    """Baseline plus the worker-count x batch-size grid."""
+    """Baseline plus one row per batch size, each the best of REPEATS runs."""
     if quick:
         ops_per_round, rounds = 24, 2
-        grid = [(0, 16), (1, 16)]
+        batches: list[int | None] = [None, 16]
     else:
         ops_per_round, rounds = 48, 3
-        grid = [
-            (workers, batch)
-            for workers in (0, 1, 2)
-            for batch in (8, 32)
-        ]
-    baseline = run_config(ops_per_round, rounds, None, 1, quick)
+        batches = [None, 8, 32]
+    runs: dict[int | None, list[dict]] = {batch: [] for batch in batches}
+    for _ in range(REPEATS):
+        for batch in batches:
+            runs[batch].append(run_config(ops_per_round, rounds, batch))
+    baseline = _row(None, runs[None])
     print(
         f"baseline (scalar verify, fsync/request): "
-        f"{baseline['payments_per_sec']} payments/s over {baseline['ops']} ops"
+        f"{baseline['payments_per_sec']} payments/s over {baseline['ops']} ops "
+        f"(spread {baseline['spread']})"
     )
     rows = []
-    for workers, batch in grid:
-        row = run_config(ops_per_round, rounds, workers, batch, quick)
-        row["speedup"] = round(
-            row["payments_per_sec"] / baseline["payments_per_sec"], 2
-        )
+    for batch in batches[1:]:
+        row = _row(batch, runs[batch])
+        row["speedup"] = round(row["payments_per_sec"] / baseline["payments_per_sec"], 2)
         rows.append(row)
         print(
-            f"workers={workers} batch={batch}: {row['payments_per_sec']} payments/s "
-            f"({row['speedup']}x, {row['fsyncs']} fsyncs for {row['ops']} ops)"
+            f"batch={batch}: {row['payments_per_sec']} payments/s "
+            f"({row['speedup']}x, spread {row['spread']}, "
+            f"{row['fsyncs']} fsyncs for {row['ops']} ops)"
         )
     best = max(rows, key=lambda row: row["speedup"])
     return {
@@ -170,6 +171,7 @@ def run_sweep(quick: bool) -> dict:
         "params": "PARAMS_TEST_512",
         "seed": SEED,
         "quick": quick,
+        "repeats": REPEATS,
         "workload": {
             "peers": PEERS,
             "coins_per_peer": COINS_PER_PEER,
@@ -181,7 +183,7 @@ def run_sweep(quick: bool) -> dict:
         "baseline": baseline,
         "rows": rows,
         "best_speedup": best["speedup"],
-        "best_config": {"workers": best["workers"], "batch": best["batch"]},
+        "best_config": {"batch": best["batch"]},
     }
 
 

@@ -45,7 +45,7 @@ from repro.core.sharding import ShardMap
 from repro.crypto.dsa import DsaSignature, dsa_batch_verify
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.params import DlogParams
-from repro.messages.envelope import DualSignedMessage, seal
+from repro.messages.envelope import SignedMessage, seal
 from repro.net.node import Node
 from repro.net.rpc import RetryPolicy, RpcClient, unwrap_idempotent, wrap_idempotent
 from repro.net.transport import NetworkError, Transport
@@ -186,8 +186,9 @@ class Broker(Node):
         #: (i.e. whether its reply must wait for a covering fsync).
         self.last_request_staged: bool = False
         # SHA-256 digests of raw requests whose *cryptographic* checks a
-        # verification pool already performed; consumed on first sight.
-        self._preverified: set[bytes] = set()
+        # verification pool already performed, each mapped to the typed
+        # request the pool decoded from those bytes; consumed on first sight.
+        self._preverified: dict[bytes, Any] = {}
         #: Federation wiring (set by :meth:`attach_federation`): the ring
         #: that maps coins/accounts to shards, and the retry policy used for
         #: shard-to-shard prepares.  ``None`` means standalone broker — every
@@ -594,36 +595,45 @@ class Broker(Node):
 
     # -- verification helpers -----------------------------------------------------
 
-    def mark_preverified(self, digests: set[bytes] | list[bytes]) -> None:
+    def mark_preverified(self, marks: dict[bytes, Any]) -> None:
         """Record raw requests whose signatures a verification pool checked.
 
-        ``digests`` are SHA-256 digests of the exact request bytes.  The
-        next time each request arrives, the broker skips re-running its
-        *cryptographic* checks (group signature, DSA signatures) — every
-        structural and state check (circulation, double-spend, holdership
-        binding, expiry, balances) still runs in the broker, because only
-        the broker holds that state.  Entries are consumed on first use, so
-        the set cannot grow without bound and a digest can never vouch for
-        more than one admission.
+        ``marks`` maps the SHA-256 digest of the exact request bytes to the
+        typed request the pool decoded from them (a
+        :class:`~repro.core.protocol.HolderRequest` or a purchase's
+        :class:`SignedMessage`).  The next time each request arrives, the
+        broker reuses that typed request instead of decoding the bytes
+        again and skips re-running its *cryptographic* checks (group
+        signature, DSA signatures) — every structural and state check
+        (circulation, double-spend, holdership binding, expiry, balances)
+        still runs in the broker, because only the broker holds that state.
+        Entries are consumed on first use, so a digest can never vouch for
+        more than one admission.  Marks live for one verify-batch: each call
+        replaces the previous marks, so a mark no handler consumed (a retry
+        answered from the replay cache) is dropped with its batch instead
+        of holding its decoded request for good.
         """
-        self._preverified.update(digests)
+        self._preverified = dict(marks)
 
-    def _crypto_preverified(self, data: bytes) -> bool:
-        """Consume and report a pool pre-verification for ``data``."""
+    def _take_preverified(self, data: bytes, expected: type) -> Any:
+        """Consume a pool pre-verification for ``data``; its typed request.
+
+        ``None`` when the pool did not vouch for these bytes, or vouched
+        for them as a different kind of request than the handler expects
+        (same bytes sent under two kinds): the handler then decodes and
+        verifies everything itself.
+        """
         if not self._preverified:
-            return False
-        digest = hashlib.sha256(data).digest()
-        if digest in self._preverified:
-            self._preverified.discard(digest)
-            return True
-        return False
+            return None
+        request = self._preverified.pop(hashlib.sha256(data).digest(), None)
+        return request if isinstance(request, expected) else None
 
     def _gpk_at(self, version: int):
         if version not in self._gpk_cache:
             self._gpk_cache[version] = self.judge.group_public_key_at(version)
         return self._gpk_cache[version]
 
-    def _verify_holder_op(self, data: bytes) -> tuple[protocol.HolderOperation, DualSignedMessage, Coin, CoinBinding]:
+    def _verify_holder_op(self, data: bytes) -> protocol.HolderRequest:
         """Common validation for deposit / downtime transfer / downtime renewal.
 
         Returns the decoded operation, its envelope, the coin, and the
@@ -631,17 +641,23 @@ class Broker(Node):
         on any failure.
 
         When the request was pre-verified by a verification pool
-        (:meth:`mark_preverified`), the signature checks — the group
-        signature here and the DSA batch at the end — are skipped; the pool
-        already ran them (unconditionally, including the proof-binding
-        signature) on these exact bytes.  All state checks below still run.
+        (:meth:`mark_preverified`), the pool's typed request is reused
+        instead of decoding ``data`` again, and the signature checks — the
+        group signature here and the DSA batch at the end — are skipped;
+        the pool already ran them (unconditionally, including the
+        proof-binding signature) on these exact bytes.  All structural and
+        state checks below still run.
         """
-        crypto_done = self._crypto_preverified(data)
-        try:
-            envelope = protocol.decode_dual(data, self.params)
-            operation = protocol.HolderOperation.from_payload(envelope.payload)
-        except (ValueError, KeyError) as exc:
-            raise ProtocolError(f"malformed holder operation: {exc}") from exc
+        preverified = self._take_preverified(data, protocol.HolderRequest)
+        crypto_done = preverified is not None
+        if preverified is not None:
+            operation, envelope, coin, proof = preverified
+        else:
+            try:
+                envelope = protocol.decode_dual(data, self.params)
+                operation = protocol.HolderOperation.from_payload(envelope.payload)
+            except (ValueError, KeyError) as exc:
+                raise ProtocolError(f"malformed holder operation: {exc}") from exc
 
         if envelope.roster_version < self.judge.minimum_accepted_version:
             raise VerificationFailed(
@@ -658,7 +674,8 @@ class Broker(Node):
             (envelope.coin_signer, envelope.inner.payload_bytes, envelope.inner.signature)
         ]
 
-        coin = Coin(cert=protocol.decode_signed(operation.coin_cert, self.params))
+        if preverified is None:
+            coin = Coin(cert=protocol.decode_signed(operation.coin_cert, self.params))
         if coin.cert.signer.y != self.public_key.y or not coin.verify_unsigned():
             raise VerificationFailed("coin certificate invalid")
         dsa_batch.append((coin.cert.signer, coin.cert.payload_bytes, coin.cert.signature))
@@ -676,10 +693,11 @@ class Broker(Node):
             self.fraud_events.append(event)
             raise event
 
-        proof = CoinBinding(
-            signed=protocol.decode_signed(operation.proof_binding, self.params),
-            via_broker=operation.proof_via_broker,
-        )
+        if preverified is None:
+            proof = CoinBinding(
+                signed=protocol.decode_signed(operation.proof_binding, self.params),
+                via_broker=operation.proof_via_broker,
+            )
         stored = self.downtime_bindings.get(coin.coin_y)
         if stored is not None and operation.proof_via_broker:
             # Second flavour (Section 4.2): bit-by-bit comparison with state.
@@ -706,7 +724,7 @@ class Broker(Node):
             if not coin.cert.verify():
                 raise VerificationFailed("coin certificate invalid")
             raise VerificationFailed("proof binding signature invalid")
-        return operation, envelope, coin, proof
+        return protocol.HolderRequest(operation, envelope, coin, proof)
 
     def _record_downtime_binding(self, coin: Coin, binding: CoinBinding) -> None:
         self._stage(
@@ -727,12 +745,13 @@ class Broker(Node):
     def _handle_purchase(self, src: str, data: bytes) -> bytes:
         """Purchase (Section 4.2): verify identity, debit, sign the coin."""
         self.counts.purchases += 1
+        preverified = self._take_preverified(data, SignedMessage)
         try:
-            signed = protocol.decode_signed(data, self.params)
+            signed = preverified or protocol.decode_signed(data, self.params)
             request = protocol.PurchaseRequest.from_payload(signed.payload)
         except (ValueError, KeyError) as exc:
             raise ProtocolError(f"malformed purchase: {exc}") from exc
-        if not self._crypto_preverified(data) and not signed.verify():
+        if preverified is None and not signed.verify():
             raise VerificationFailed("purchase signature invalid")
         account = self.accounts.get(request.account)
         if account is None or account.identity.y != signed.signer.y:
@@ -811,12 +830,13 @@ class Broker(Node):
         the amortization is exactly what batching is for.
         """
         self.counts.purchases += 1
+        preverified = self._take_preverified(data, SignedMessage)
         try:
-            signed = protocol.decode_signed(data, self.params)
+            signed = preverified or protocol.decode_signed(data, self.params)
             request = protocol.BatchPurchaseRequest.from_payload(signed.payload)
         except (ValueError, KeyError) as exc:
             raise ProtocolError(f"malformed batch purchase: {exc}") from exc
-        if not self._crypto_preverified(data) and not signed.verify():
+        if preverified is None and not signed.verify():
             raise VerificationFailed("batch purchase signature invalid")
         account = self.accounts.get(request.account)
         if account is None or account.identity.y != signed.signer.y:

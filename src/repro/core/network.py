@@ -14,7 +14,6 @@ say::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -181,44 +180,14 @@ class WhoPayNetwork:
             for shard in self.shards:
                 shard.detection = self.detection
 
-    def add_peer(
-        self,
-        address: str,
-        config: "PeerConfig | int | None" = None,
-        **legacy,
-    ) -> Peer:
+    def add_peer(self, address: str, config: PeerConfig | None = None) -> Peer:
         """Register a user: judge enrollment, broker account, transport node.
 
         Pass a :class:`PeerConfig` for per-peer options.
         ``PeerConfig(durable=True)`` (requires ``store_dir``) gives the peer
         a journaled wallet at ``<store_dir>/<address>`` so it can be killed
         and recovered with :meth:`restart_peer`.
-
-        Deprecation shim: the pre-PR-7 keyword/positional form
-        (``add_peer("alice", 10)`` / ``add_peer("alice", balance=10,
-        durable=True)``) still works but warns; new code builds a
-        :class:`PeerConfig`.
         """
-        if isinstance(config, int):
-            warnings.warn(
-                "add_peer(address, balance) is deprecated; pass PeerConfig(balance=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = PeerConfig(balance=config)
-        if legacy:
-            unknown = set(legacy) - {"balance", "sync_mode", "durable"}
-            if unknown:
-                raise TypeError(f"add_peer got unexpected keyword(s) {sorted(unknown)}")
-            warnings.warn(
-                "add_peer(balance=..., sync_mode=..., durable=...) is deprecated; "
-                "pass a PeerConfig instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if config is not None:
-                raise TypeError("pass either a PeerConfig or legacy keywords, not both")
-            config = PeerConfig(**legacy)
         config = config or PeerConfig()
         store = None
         if config.durable:

@@ -15,8 +15,9 @@ what the anonymity analysis is about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
+from repro.core.coin import Coin, CoinBinding
 from repro.crypto.dsa import DsaSignature
 from repro.crypto.group_signature import GroupSignature
 from repro.crypto.keys import PublicKey
@@ -281,3 +282,17 @@ class HolderOperation:
             delta=payload.get("delta"),
             funding_auth=payload.get("funding_auth"),
         )
+
+
+class HolderRequest(NamedTuple):
+    """A holder request decoded from its wire bytes, ready for the broker.
+
+    Produced once per request — by the verification pool, or by the broker
+    itself when no pool vouched for the bytes — so the nested envelopes
+    (holder envelope, coin certificate, proof binding) are parsed once.
+    """
+
+    operation: HolderOperation
+    envelope: DualSignedMessage
+    coin: Coin
+    proof: CoinBinding

@@ -516,6 +516,7 @@ def group_batch_verify(
     agg_y = 0  # exponent of y on the equation LHS
     agg_h = [0] * n  # exponent of h_j on the LHS (E2) minus the RHS (E3)
     adhoc: list[tuple[int, int]] = []  # per-signature bases for the RHS
+    randomizer_mask = (1 << BATCH_RANDOMIZER_BITS) - 1
     for index, (message, signature) in enumerate(items):
         if not (
             len(signature.challenges)
@@ -555,14 +556,20 @@ def group_batch_verify(
             continue
         e_c1 = 0  # exponent of this signature's c1 on the RHS
         e_c2 = 0  # exponent of this signature's c2 on the RHS
+        # The signature's 3n multipliers are the disjoint 64-bit slices of
+        # one uniform draw, so each is an independent uniform 64-bit value
+        # (low bit then forced to 1) at the cost of one entropy call.
+        draw = secrets.randbits(3 * n * BATCH_RANDOMIZER_BITS)
+        randomizers = [
+            ((draw >> (BATCH_RANDOMIZER_BITS * k)) & randomizer_mask) | 1
+            for k in range(3 * n)
+        ]
         for j in range(n):
             c_j = signature.challenges[j]
             s_r = signature.responses_r[j]
             s_x = signature.responses_x[j]
             t1, t2, t3 = hints[j]
-            a = secrets.randbits(BATCH_RANDOMIZER_BITS) | 1
-            b = secrets.randbits(BATCH_RANDOMIZER_BITS) | 1
-            d = secrets.randbits(BATCH_RANDOMIZER_BITS) | 1
+            a, b, d = randomizers[3 * j : 3 * j + 3]
             agg_g += a * s_r + d * s_x
             agg_y += b * s_r
             agg_h[j] += (b - d) * c_j

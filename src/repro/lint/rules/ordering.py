@@ -57,7 +57,7 @@ ORDERING_CONFIG = OrderingConfig(
 
 TRUST_CONFIG = TrustConfig(
     scope_modules=_SCOPE,
-    decode_calls=frozenset({"decode_signed", "decode_dual"}),
+    decode_calls=frozenset({"decode_signed", "decode_dual", "_take_preverified"}),
     verify_calls=frozenset({"compare_digest", "is_element"}),
     durable_fields=_ORDERING_DURABLE,
     durable_attrs=_DURABLE_ATTRS,

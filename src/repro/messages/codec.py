@@ -81,50 +81,58 @@ def _encode(value: Any) -> bytes:
     raise CodecError(f"cannot encode values of type {type(value).__name__}")
 
 
-def _take(data: bytes, offset: int, n: int) -> tuple[bytes, int]:
-    if offset + n > len(data):
-        raise CodecError("truncated message")
-    return data[offset : offset + n], offset + n
-
-
 def _decode(data: bytes, offset: int) -> tuple[Any, int]:
-    tag, offset = _take(data, offset, 1)
-    if tag == b"n":
-        return None, offset
-    if tag == b"t":
-        return True, offset
-    if tag == b"f":
-        return False, offset
-    if tag == b"i":
-        sign, offset = _take(data, offset, 1)
-        if sign not in (b"+", b"-"):
+    """Decode one value at ``offset``; returns it and the offset after it.
+
+    A single pass that indexes the buffer: tag and sign bytes are read as
+    ints (compared against their ASCII codes, noted alongside) and only
+    length fields and value bodies are sliced out.  Every bounds check runs
+    before the read it guards, in the order the fields appear, so a
+    malformed input fails with the first applicable error.
+    """
+    end = len(data)
+    if offset >= end:
+        raise CodecError("truncated message")
+    tag = data[offset]
+    offset += 1
+    if tag == 0x69:  # i
+        if offset >= end:
+            raise CodecError("truncated message")
+        sign = data[offset]
+        if sign != 0x2B and sign != 0x2D:  # + -
             raise CodecError("bad integer sign byte")
-        raw_len, offset = _take(data, offset, 8)
-        body, offset = _take(data, offset, int.from_bytes(raw_len, "big"))
-        magnitude = int.from_bytes(body, "big")
-        return (-magnitude if sign == b"-" else magnitude), offset
-    if tag == b"b":
-        raw_len, offset = _take(data, offset, 8)
-        body, offset = _take(data, offset, int.from_bytes(raw_len, "big"))
-        return body, offset
-    if tag == b"s":
-        raw_len, offset = _take(data, offset, 8)
-        body, offset = _take(data, offset, int.from_bytes(raw_len, "big"))
+        offset += 9
+        if offset > end:
+            raise CodecError("truncated message")
+        stop = offset + int.from_bytes(data[offset - 8 : offset], "big")
+        if stop > end:
+            raise CodecError("truncated message")
+        magnitude = int.from_bytes(data[offset:stop], "big")
+        return (-magnitude if sign == 0x2D else magnitude), stop
+    if tag == 0x62 or tag == 0x73:  # b s
+        offset += 8
+        if offset > end:
+            raise CodecError("truncated message")
+        stop = offset + int.from_bytes(data[offset - 8 : offset], "big")
+        if stop > end:
+            raise CodecError("truncated message")
+        if tag == 0x62:
+            return data[offset:stop], stop
         try:
-            return body.decode("utf-8"), offset
+            return data[offset:stop].decode("utf-8"), stop
         except UnicodeDecodeError as exc:
             raise CodecError("invalid UTF-8 in string") from exc
-    if tag == b"l":
-        raw_count, offset = _take(data, offset, 8)
-        count = int.from_bytes(raw_count, "big")
-        items = []
-        for _ in range(count):
-            item, offset = _decode(data, offset)
-            items.append(item)
-        return tuple(items), offset
-    if tag == b"d":
-        raw_count, offset = _take(data, offset, 8)
-        count = int.from_bytes(raw_count, "big")
+    if tag == 0x6C or tag == 0x64:  # l d
+        offset += 8
+        if offset > end:
+            raise CodecError("truncated message")
+        count = int.from_bytes(data[offset - 8 : offset], "big")
+        if tag == 0x6C:
+            items = []
+            for _ in range(count):
+                item, offset = _decode(data, offset)
+                items.append(item)
+            return tuple(items), offset
         out: dict[str, Any] = {}
         previous_key: str | None = None
         for _ in range(count):
@@ -137,4 +145,10 @@ def _decode(data: bytes, offset: int) -> tuple[Any, int]:
             out[key] = value
             previous_key = key
         return out, offset
-    raise CodecError(f"unknown tag byte {tag!r}")
+    if tag == 0x6E:  # n
+        return None, offset
+    if tag == 0x74:  # t
+        return True, offset
+    if tag == 0x66:  # f
+        return False, offset
+    raise CodecError(f"unknown tag byte {bytes((tag,))!r}")

@@ -5,11 +5,11 @@ can absorb (Figures 6, 10).  This package is the engineering answer for
 the real-crypto stack: it decomposes a broker's request loop into the
 three stages that dominate cost and batches each one.
 
-* :mod:`repro.pipeline.verify` — a verification worker pool that drains
-  request envelopes into batches and runs the randomized batch verifiers
+* :mod:`repro.pipeline.verify` — an inline verification pool that decodes
+  each request envelope once, runs the randomized batch verifiers
   (:func:`repro.crypto.dsa.dsa_batch_verify`,
-  :func:`repro.crypto.group_signature.group_batch_verify`) across worker
-  processes, falling back to scalar checks to isolate bad signatures;
+  :func:`repro.crypto.group_signature.group_batch_verify`) over a batch,
+  and falls back to scalar checks to isolate bad signatures;
 * :mod:`repro.pipeline.engine` — the serial broker stage: state checks and
   journaling, with replies released only after a covering group-commit
   fsync (:class:`repro.store.groupcommit.GroupCommitter`);
@@ -18,8 +18,7 @@ three stages that dominate cost and batches each one.
   encoders with Zipf-skewed coin popularity.
 
 ``benchmarks/bench_throughput.py`` wires the three together and sweeps
-worker counts and batch sizes against the one-fsync-per-request scalar
-baseline.
+batch sizes against the one-fsync-per-request scalar baseline.
 """
 
 from repro.pipeline.engine import EngineStats, ReplyRecord, ThroughputEngine

@@ -4,9 +4,11 @@
 requests with the two batched accelerators wired in:
 
 1. each verify-batch of requests goes to the :class:`~repro.pipeline.verify.VerificationPool`
-   first; the digests of the requests that pass are handed to
+   first; the digests of the requests that pass, with the typed requests
+   the pool decoded, are handed to
    :meth:`~repro.core.broker.Broker.mark_preverified`, so the broker's
-   handlers skip re-running the signature checks;
+   handlers neither decode those bytes again nor re-run the signature
+   checks;
 2. with a :class:`~repro.store.groupcommit.GroupCommitter` attached, the
    broker stages each request's journal record instead of fsyncing it, and
    the engine *holds the reply* until the committer's covering fsync runs
@@ -164,6 +166,8 @@ class ThroughputEngine:
                 stats.nonces_pooled += self.nonce_pool.ensure(bindings)
             for kind, src, data, idem in batch:
                 records.append(self._handle_one(kind, src, data, idem, stats))
+            if self.pool is not None:
+                self.broker.mark_preverified({})  # drop marks no handler consumed
             batch.clear()
 
         for request in requests:
@@ -193,13 +197,13 @@ class ThroughputEngine:
             return
         verdicts = self.pool.verify(jobs)
         stats.pool_jobs += len(jobs)
-        digests = {
-            hashlib.sha256(data).digest()
-            for (_job, data), passed in zip(jobs, verdicts)
+        marks = {
+            hashlib.sha256(data).digest(): request
+            for (_job, data), passed, request in zip(jobs, verdicts, self.pool.decoded)
             if passed
         }
-        stats.preverified += len(digests)
-        self.broker.mark_preverified(digests)
+        stats.preverified += len(marks)
+        self.broker.mark_preverified(marks)
 
     def _handle_one(
         self, kind: str, src: str, data: bytes, idem: str | None, stats: EngineStats

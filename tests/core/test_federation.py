@@ -1,7 +1,7 @@
 """Sharded broker federation behind the unified BrokerAPI (PR 7).
 
-Covers the consistent-hash shard map, the topology/config objects and the
-deprecation shim, the ShardRouter facade, shard-aware client routing, and
+Covers the consistent-hash shard map, the topology/config objects, the
+ShardRouter facade, shard-aware client routing, and
 — the heart of the PR — exactly-once cross-shard handoffs for purchase,
 batch purchase, deposit, and top-up.
 """
@@ -110,21 +110,6 @@ class TestTopologyAndConfig:
             PeerConfig(balance=-1)
         with pytest.raises(ValueError):
             PeerConfig(sync_mode="eager")
-
-    def test_legacy_positional_balance_warns_but_works(self, network):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            network.add_peer("alice", 10)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert network.broker.balance("alice") == 10
-
-    def test_legacy_keywords_warn_but_work(self, network):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            network.add_peer("bob", balance=3, sync_mode="lazy")
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert network.broker.balance("bob") == 3
-        assert network.peer("bob").sync_mode == "lazy"
 
     def test_config_and_legacy_keywords_conflict(self, network):
         with pytest.raises(TypeError), warnings.catch_warnings():

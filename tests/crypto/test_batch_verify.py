@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.crypto import fastexp
 from repro.crypto.dsa import (
     DsaSignature,
     dsa_batch_verify,
@@ -18,6 +19,7 @@ from repro.crypto.dsa import (
     dsa_verify,
 )
 from repro.crypto.group_signature import (
+    BATCH_RANDOMIZER_BITS,
     GroupManager,
     group_batch_verify,
     group_sign,
@@ -265,3 +267,38 @@ class TestGroupBatchAdversarial:
         )
         items[1] = (msg, forged)
         assert not group_batch_verify(gpk, items)
+
+
+class TestGroupBatchRandomizers:
+    def test_randomizers_are_odd_uniform_independent_64_bit_values(self, group, monkeypatch):
+        # Each hint base t1/t2/t3 enters the combined product with its own
+        # multiplier.  All of a signature's multipliers come from one
+        # entropy draw, so check what the slicing must preserve: odd,
+        # below 2**64, every other bit fair, and no overlap between
+        # neighbouring slices (bit i+1 of one slice must not predict bit i
+        # of the next).
+        gpk, items = _group_batch(group, 8)
+        hints = {t for _, sig in items for clause in sig.commitments for t in clause}
+        seen: list[int] = []
+        original = fastexp.multi_exp
+
+        def recording_multi_exp(pairs, *args, **kwargs):
+            pairs = list(pairs)
+            seen.extend(exponent for base, exponent in pairs if base in hints)
+            return original(pairs, *args, **kwargs)
+
+        monkeypatch.setattr(fastexp, "multi_exp", recording_multi_exp)
+        for _ in range(10):
+            assert group_batch_verify(gpk, items)
+        assert len(seen) == 10 * 8 * 3 * len(gpk.roster)
+        assert all(r & 1 and r < 1 << BATCH_RANDOMIZER_BITS for r in seen)
+        assert len(set(seen)) == len(seen)
+        for bit in range(1, BATCH_RANDOMIZER_BITS):
+            share = sum(r >> bit & 1 for r in seen) / len(seen)
+            assert 0.35 < share < 0.65, bit
+        agree = sum(
+            (a >> (i + 1) & 1) == (b >> i & 1)
+            for a, b in zip(seen, seen[1:])
+            for i in range(1, BATCH_RANDOMIZER_BITS - 1)
+        ) / ((len(seen) - 1) * (BATCH_RANDOMIZER_BITS - 2))
+        assert 0.45 < agree < 0.55

@@ -140,6 +140,35 @@ class TestMultiExp:
     def test_empty(self):
         assert fastexp.multi_exp([], P.p) == 1
 
+    @pytest.mark.parametrize("params", [P, PARAMS_1024_160], ids=["512", "1024"])
+    @pytest.mark.parametrize("order_known", [True, False])
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            # Straus sizes (fewer than _PIPPENGER_MIN ad-hoc bases).
+            [63, 64, 65, "full", "full"],
+            [64] * (fastexp._PIPPENGER_MIN - 1),
+            # Bucket sizes: a lone full-length exponent among 64-bit ones;
+            # a skewed mix like a batched signature check's; an even mix.
+            [64] * (fastexp._PIPPENGER_MIN - 1) + ["full"],
+            [64] * 150 + [63] * 30 + [65] * 5 + ["full"] * 9,
+            [63, 64, 65, "full"] * 40,
+        ],
+        ids=["straus-mixed", "straus-max", "bucket-lone-full", "bucket-skewed", "bucket-even"],
+    )
+    def test_mixed_exponent_lengths_match_native(self, params, order_known, lengths):
+        # Ad-hoc bases only (promote=False, no tables): the product must be
+        # exact however the exponent lengths are mixed.
+        pairs = []
+        for length in lengths:
+            bits = params.q.bit_length() if length == "full" else length
+            exponent = secrets.randbits(bits) | (1 << (bits - 1))  # exactly `bits` long
+            pairs.append((pow(params.g, 2 + secrets.randbelow(params.q - 2), params.p), exponent))
+        order = params.q if order_known else None
+        assert fastexp.multi_exp(pairs, params.p, order=order, promote=False) == self._native(
+            pairs, params.p
+        )
+
     def test_with_cached_table(self):
         fastexp.precompute(P.g, P.p, P.q.bit_length(), order=P.q)
         y = pow(P.g, 4242, P.p)
@@ -179,40 +208,3 @@ class TestCaches:
         q2, p2, g2 = PARAMS_1024_160.q, PARAMS_1024_160.p, PARAMS_1024_160.g
         e = secrets.randbelow(q2)
         assert fastexp.mod_pow(g2, e, p2, order=q2) == pow(g2, e, p2)
-
-
-class TestCacheSharing:
-    """export_cache/install_cache: how worker pools inherit parent tables."""
-
-    def test_export_install_round_trip(self):
-        fastexp.precompute(P.g, P.p, P.q.bit_length(), order=P.q)
-        blob = fastexp.export_cache()
-        assert blob
-        fastexp.clear_caches()
-        assert fastexp.fixed_base(P.g, P.p) is None
-        assert fastexp.install_cache(blob) == 1
-        table = fastexp.fixed_base(P.g, P.p)
-        assert table is not None and table.order == P.q
-        e = secrets.randbelow(P.q)
-        assert table.pow(e) == pow(P.g, e, P.p)
-
-    def test_install_never_downgrades_a_wider_local_table(self):
-        fastexp.precompute(P.g, P.p, 16)
-        blob = fastexp.export_cache()  # narrow table in the blob
-        fastexp.clear_caches()
-        fastexp.precompute(P.g, P.p, P.q.bit_length(), order=P.q)
-        wide = fastexp.fixed_base(P.g, P.p)
-        assert fastexp.install_cache(blob) == 0
-        assert fastexp.fixed_base(P.g, P.p) is wide
-
-    def test_install_upgrades_a_narrower_local_table(self):
-        fastexp.precompute(P.g, P.p, P.q.bit_length(), order=P.q)
-        blob = fastexp.export_cache()
-        fastexp.clear_caches()
-        fastexp.precompute(P.g, P.p, 16)
-        assert fastexp.install_cache(blob) == 1
-        table = fastexp.fixed_base(P.g, P.p)
-        assert table is not None and table.max_bits >= P.q.bit_length()
-
-    def test_empty_cache_round_trips(self):
-        assert fastexp.install_cache(fastexp.export_cache()) == 0

@@ -14,3 +14,7 @@ class BadBroker:
     def ingest(self, blob):
         message = decode_signed(blob, self.params)  # untrusted decode
         self.accounts[message.src] = message  # line 16: durable write, no verify
+
+    def adopt(self, data):
+        request = self._take_preverified(data, object)  # pool's typed request
+        self.valid_coins[request.coin_y] = request  # line 20: durable write, no check

@@ -321,7 +321,7 @@ class TestWP112JournalBeforeReply:
 class TestWP113VerifyBeforeTrust:
     def test_bad_fires_on_handler_and_decode_flows(self):
         found = findings_for("WP113", "wp113_bad.py")
-        assert [diag.line for diag in found] == [11, 16]
+        assert [diag.line for diag in found] == [11, 16, 20]
         assert all("no dominating signature/validation" in d.message for d in found)
 
     def test_good_is_silent(self):

@@ -1,4 +1,4 @@
-"""Verification pool: batched verdicts, forgery isolation, worker sharing.
+"""Verification pool: batched verdicts, forgery isolation, decoded requests.
 
 The ISSUE-6 regression target lives here: one forged signature inside a
 verification batch must be isolated by the scalar fallback — its verdict
@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import protocol
 from repro.crypto.params import PARAMS_TEST_512
+from repro.messages.envelope import SignedMessage
 from repro.pipeline import JOB_HOLDER, JOB_PURCHASE, LoadGenerator, VerificationPool
 from repro.pipeline.loadgen import WorkloadMix
 
@@ -69,9 +70,13 @@ class TestInlinePool:
         generator, requests = workload
         jobs = _jobs(requests)
         assert {job for job, _ in jobs} == {JOB_HOLDER, JOB_PURCHASE}
-        with self._pool(generator) as pool:
-            assert pool.verify(jobs) == [True] * len(jobs)
-            assert pool.jobs_verified == len(jobs)
+        pool = self._pool(generator)
+        assert pool.verify(jobs) == [True] * len(jobs)
+        assert pool.jobs_verified == len(jobs)
+        # The typed request each verdict vouches for, decoded once.
+        for (job, _), request in zip(jobs, pool.decoded):
+            expected = protocol.HolderRequest if job == JOB_HOLDER else SignedMessage
+            assert isinstance(request, expected)
 
     def test_forged_group_signature_is_isolated(self, workload):
         # The regression: the forged member trips the randomized group
@@ -82,9 +87,10 @@ class TestInlinePool:
         victim = 0
         assert jobs[victim][0] == JOB_HOLDER
         jobs[victim] = (JOB_HOLDER, _forge_group_signature(jobs[victim][1], generator.params))
-        with self._pool(generator) as pool:
-            verdicts = pool.verify(jobs)
+        pool = self._pool(generator)
+        verdicts = pool.verify(jobs)
         assert verdicts[victim] is False
+        assert pool.decoded[victim] is None
         assert all(verdicts[i] for i in range(len(jobs)) if i != victim)
 
     def test_forged_dsa_signature_is_isolated(self, workload):
@@ -94,8 +100,8 @@ class TestInlinePool:
         jobs = _jobs(requests)
         victim = next(i for i, (job, _) in enumerate(jobs) if job == JOB_PURCHASE)
         jobs[victim] = (JOB_PURCHASE, _forge_dsa_signature(jobs[victim][1], generator.params))
-        with self._pool(generator) as pool:
-            verdicts = pool.verify(jobs)
+        pool = self._pool(generator)
+        verdicts = pool.verify(jobs)
         assert verdicts[victim] is False
         assert all(verdicts[i] for i in range(len(jobs)) if i != victim)
 
@@ -103,8 +109,8 @@ class TestInlinePool:
         generator, requests = workload
         jobs = _jobs(requests)
         jobs[1] = (jobs[1][0], b"not an envelope")
-        with self._pool(generator) as pool:
-            verdicts = pool.verify(jobs)
+        pool = self._pool(generator)
+        verdicts = pool.verify(jobs)
         assert verdicts[1] is False
         assert all(verdicts[i] for i in range(len(jobs)) if i != 1)
 
@@ -114,33 +120,14 @@ class TestInlinePool:
         envelope = protocol.decode_dual(jobs[0][1], generator.params)
         stale = replace(envelope, roster_version=envelope.roster_version + 7)
         jobs[0] = (JOB_HOLDER, protocol.encode_dual(stale))
-        with self._pool(generator) as pool:
-            assert pool.verify(jobs)[0] is False
+        pool = self._pool(generator)
+        assert pool.verify(jobs)[0] is False
 
     def test_empty_input_and_bad_config(self, workload):
         generator, _requests = workload
-        with self._pool(generator) as pool:
-            assert pool.verify([]) == []
+        pool = self._pool(generator)
+        assert pool.verify([]) == []
         with pytest.raises(ValueError):
             self._pool(generator, workers=-1)
         with pytest.raises(ValueError):
-            self._pool(generator, chunk_size=0)
-
-
-class TestForkedPool:
-    def test_worker_process_agrees_with_inline(self, workload):
-        generator, requests = workload
-        jobs = _jobs(requests)
-        jobs[0] = (JOB_HOLDER, _forge_group_signature(jobs[0][1], generator.params))
-        with VerificationPool(
-            generator.params,
-            generator.broker.public_key,
-            [generator._gpk],
-            workers=1,
-            chunk_size=3,  # forces multiple chunks through the same worker
-        ) as pool:
-            # The parent's warm fixed-base tables actually shipped.
-            assert pool.cache_blob_bytes > 0
-            verdicts = pool.verify(jobs)
-        assert verdicts[0] is False
-        assert all(verdicts[1:])
+            self._pool(generator, workers=1)  # inline verification only
