@@ -15,10 +15,9 @@ same invocation::
     # path prefix -> rule codes that do not apply under it
     "benchmarks/bench_crypto_ops.py" = ["WP103"]
 
-Repeat runs reuse a content-hash cache (``.wp-lint-cache.json``): an
-unchanged tree replays the previous result without parsing anything, and a
-partially-changed tree re-runs file-scoped rules only for changed files.
-``--no-cache`` forces a cold run.
+Every run parses and checks the whole file set through
+:func:`repro.lint.engine.lint_paths`; there is no result cache, so a
+finding always reflects the rules and the sources as they are now.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from repro.lint.baseline import (
     split_baselined,
     write_baseline,
 )
-from repro.lint.cache import DEFAULT_CACHE_PATH, LintCache, lint_paths_cached
 from repro.lint.diagnostics import Diagnostic
+from repro.lint.engine import lint_paths
 from repro.lint.registry import get_rules
 from repro.lint.sarif import to_sarif
 
@@ -132,16 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write all current findings to the baseline file and exit 0",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-hash result cache; lint everything cold",
-    )
-    parser.add_argument(
-        "--cache-file",
-        default=DEFAULT_CACHE_PATH,
-        help=f"cache file location (default: {DEFAULT_CACHE_PATH})",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -163,9 +152,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     baseline_path = args.baseline or config.get("baseline") or DEFAULT_BASELINE
     exempt = _exemption_map(config)
 
-    cache = None if args.no_cache else LintCache.load(args.cache_file)
     try:
-        result, cache_status = lint_paths_cached(paths, cache)
+        result = lint_paths(paths)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -195,7 +183,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "checked_files": result.checked_files,
                     "suppressed": result.suppressed,
                     "exempted": [diag.to_json() for diag in exempted],
-                    "cache": cache_status,
                     "baselined": [diag.to_json() for diag in grandfathered],
                     "stale_baseline_entries": stale,
                     "findings": [diag.to_json() for diag in new],
@@ -218,7 +205,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         summary = (
             f"{len(new)} finding(s), {len(grandfathered)} baselined, "
             f"{result.suppressed} suppressed, {len(exempted)} exempted "
-            f"across {result.checked_files} file(s) [cache: {cache_status}]"
+            f"across {result.checked_files} file(s)"
         )
         print(("FAIL: " if new else "ok: ") + summary)
 

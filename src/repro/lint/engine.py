@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.pragmas import (
@@ -114,47 +114,23 @@ def collect_files(paths: Sequence[str]) -> list[str]:
     return found
 
 
-def file_findings(info: ModuleInfo) -> list[Diagnostic]:
-    """Raw findings from every file-scoped rule on one module."""
-    found: list[Diagnostic] = []
-    for rule in get_rules():
-        if rule.scope == "file":
-            found.extend(rule.check(info))
-    return found
-
-
-def program_findings(program: Program) -> list[Diagnostic]:
-    """Raw findings from every program-scoped rule on the whole file set."""
-    found: list[Diagnostic] = []
-    for rule in get_rules():
-        if rule.scope == "program":
-            found.extend(rule.check(program))
-    return found
-
-
-def apply_suppression(
-    raw: Iterable[Diagnostic], pragma_index: dict[str, dict[int, frozenset[str]]]
-) -> tuple[list[Diagnostic], int]:
-    """Sorted, deduplicated findings minus pragma-suppressed ones."""
-    findings: list[Diagnostic] = []
-    suppressed = 0
-    for diag in sorted(set(raw)):
-        pragmas = pragma_index.get(diag.path, {})
-        if is_suppressed(diag.code, diag.line, pragmas):
-            suppressed += 1
-        else:
-            findings.append(diag)
-    return findings, suppressed
-
-
 def lint_program(program: Program, parse_errors: Sequence[Diagnostic] = ()) -> LintResult:
     """Run every registered rule, then apply per-line pragma suppression."""
     raw = list(parse_errors)
-    for info in program.modules:
-        raw.extend(file_findings(info))
-    raw.extend(program_findings(program))
+    for rule in get_rules():
+        if rule.scope == "file":
+            for info in program.modules:
+                raw.extend(rule.check(info))
+        else:
+            raw.extend(rule.check(program))
     pragma_index = {info.path: info.pragmas for info in program.modules}
-    findings, suppressed = apply_suppression(raw, pragma_index)
+    findings: list[Diagnostic] = []
+    suppressed = 0
+    for diag in sorted(set(raw)):
+        if is_suppressed(diag.code, diag.line, pragma_index.get(diag.path, {})):
+            suppressed += 1
+        else:
+            findings.append(diag)
     return LintResult(
         findings=findings,
         suppressed=suppressed,
@@ -162,32 +138,44 @@ def lint_program(program: Program, parse_errors: Sequence[Diagnostic] = ()) -> L
     )
 
 
-def lint_sources(entries: Sequence[tuple[str, str] | tuple[str, str, str]]) -> LintResult:
-    """Lint in-memory sources: ``(path, source)`` or ``(path, source, module)``."""
+def _parse_error(path: str, line: int, offset: int, msg: str) -> Diagnostic:
+    return Diagnostic(
+        path=path,
+        line=line,
+        col=offset - 1,
+        code=PARSE_ERROR_CODE,
+        message=f"file does not parse: {msg}",
+    )
+
+
+def lint_sources(
+    entries: Sequence[tuple[str, str | bytes] | tuple[str, str | bytes, str]],
+) -> LintResult:
+    """Lint in-memory sources: ``(path, source)`` or ``(path, source, module)``.
+
+    A ``bytes`` source is decoded as UTF-8; one that does not decode is a
+    parse error, like one that does not parse.
+    """
     program = Program()
     parse_errors: list[Diagnostic] = []
     for entry in entries:
         path, source = entry[0], entry[1]
         module = entry[2] if len(entry) == 3 else None
         try:
+            if isinstance(source, bytes):
+                source = source.decode("utf-8")
             program.modules.append(load_source(path, source, module))
         except SyntaxError as exc:
-            parse_errors.append(
-                Diagnostic(
-                    path=path,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                    code=PARSE_ERROR_CODE,
-                    message=f"file does not parse: {exc.msg}",
-                )
-            )
+            parse_errors.append(_parse_error(path, exc.lineno or 1, exc.offset or 1, exc.msg))
+        except UnicodeDecodeError:
+            parse_errors.append(_parse_error(path, 1, 1, "file is not valid UTF-8"))
     return lint_program(program, parse_errors)
 
 
 def lint_paths(paths: Sequence[str]) -> LintResult:
-    """Lint files/directories from disk."""
+    """Lint files/directories from disk (the CLI's one run path)."""
     entries = []
     for path in collect_files(paths):
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             entries.append((path, fh.read()))
     return lint_sources(entries)

@@ -192,8 +192,7 @@ def expected_event_count(config: SimConfig) -> float:
     ``payment_interval`` (exactly, in both population models — the power-law
     intervals are normalized to preserve the aggregate rate), and each peer
     toggles at rate ``2 / (µ + ν)``.  Renewals and restarts are a small
-    correction and are covered by the initial-event term.  Used to size the
-    calendar-queue buckets (:mod:`repro.sim.engine`) and to pick
+    correction and are covered by the initial-event term.  Used to pick
     event-budgeted horizons for the scaling benchmark.
     """
     n = config.n_peers

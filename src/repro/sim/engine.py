@@ -1,18 +1,12 @@
-"""High-throughput simulation engines (million-peer scaling).
+"""The fast simulation engine (million-peer scaling) and engine selection.
 
 The reference simulator (:mod:`repro.sim.simulator`) is a per-event pure
 Python loop: one heap entry per candidate payment, per-object peer/coin
 state, and a ``Counter`` update per operation.  That is the *specification*
-of the model, but it tops out around paper scale.  This module provides two
-further engines that run the same operation-level model:
+of the model and the single equivalence oracle, but it tops out around
+paper scale.  This module provides the engine that runs the same
+operation-level model at a million peers:
 
-* :class:`EventSampledSimulation` ("compat") — the reference simulation with
-  only the scheduler replaced by a bucketed calendar queue
-  (:class:`BucketQueue`).  Every random draw, every state mutation and every
-  metric update happens in exactly the reference order, so its results are
-  **bit-identical** to the reference engine's for every seed.  It exists to
-  prove the scheduler exact and costs nothing to keep proven (the
-  equivalence property test sweeps seeds across both engines).
 * :class:`FastSimulation` ("fast") — struct-of-arrays state (stdlib
   :mod:`array` / ``bytearray``), batched candidate-payment sampling via the
   Poisson superposition theorem, and bucket-level vectorized thinning with
@@ -21,6 +15,10 @@ further engines that run the same operation-level model:
   valid random-stream architecture), bit-identically reproducible per seed,
   and — by construction, see below — produces **identical results with and
   without numpy**.
+
+:func:`build_simulation` picks between the two engines, and
+:func:`resolve_engine` is the one place the ``WHOPAY_SIM_ENGINE`` default
+is read.
 
 Why the fast engine cannot be bit-equal to the reference
 --------------------------------------------------------
@@ -36,8 +34,8 @@ bucket as a Poisson count ``K ~ Poisson(Λ · span)`` followed by ``K`` sorted
 uniforms on the bucket span (the conditional-uniformity property of the
 Poisson process).  Both identities are exact, not approximations.  Coin
 selection walks deterministic per-peer lists.  The equivalence gate in
-``tests/sim`` checks the compat engine exactly and the fast engine against
-golden figure rows within statistical tolerance.
+``tests/sim`` checks the fast engine against the reference over a seed pool
+and against golden figure rows within statistical tolerance.
 
 Exact bucket-level thinning
 ---------------------------
@@ -64,14 +62,14 @@ integer/boolean mask arithmetic.  Transcendental transforms stay scalar on
 both paths — ``numpy.log`` and ``math.log`` may differ in the last ulp — so
 the per-bucket Poisson counts come from a scalar PTRS sampler and the
 session-toggle exponential gaps from ``math.log``, neither of which is
-per-candidate work.  ``WHOPAY_NUMPY=0`` forces the fallback; the results
-are identical either way, which the test suite asserts.
+per-candidate work.  ``FastSimulation(config, use_numpy=False)`` forces the
+fallback; the results are identical either way, which the test suite
+asserts.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 import os
 import random
@@ -80,7 +78,7 @@ from collections import Counter
 from typing import Any
 
 from repro.sim import policies as pol
-from repro.sim.config import SimConfig, expected_event_count
+from repro.sim.config import SimConfig
 from repro.sim.costs import (
     BROKER_OPS,
     OP_INDEX,
@@ -89,15 +87,7 @@ from repro.sim.costs import (
     expected_attempts,
 )
 from repro.sim.metrics import SimMetrics, apply_heartbeat_model
-from repro.sim.simulator import (
-    RENEWAL_POINT,
-    _PAYMENT,
-    _RENEWAL,
-    _RESTART,
-    _TOGGLE,
-    SimResult,
-    Simulation,
-)
+from repro.sim.simulator import RENEWAL_POINT, SimResult, Simulation
 
 try:  # optional accelerator; the pure-Python path is bitwise-identical
     import numpy as _np
@@ -105,9 +95,9 @@ except ImportError:  # pragma: no cover - numpy is present in the dev image
     _np = None
 
 #: Engine names accepted by :func:`build_simulation`.
-ENGINES = ("reference", "compat", "fast")
+ENGINES = ("reference", "fast")
 
-#: Calendar-bucket sizing bounds shared by every engine: at least 16 buckets
+#: Bucket sizing bounds for the fast engine's schedule: at least 16 buckets
 #: (tiny runs stay exact without degenerate widths), at most 2^17 (a million
 #: peers must not allocate a bucket list per handful of events).
 MIN_BUCKETS = 16
@@ -115,11 +105,11 @@ MAX_BUCKETS = 1 << 17
 
 
 def bucket_count(expected_events: float, per_bucket: int = 256) -> int:
-    """Calendar-queue bucket count for ~``per_bucket`` events per bucket.
+    """Time-bucket count for ~``per_bucket`` queued events per bucket.
 
-    The single sizing rule for both :meth:`BucketQueue.for_config` (compat
-    engine: every event is queued) and :class:`FastSimulation` (candidates
-    bypass the queue, so it sizes on the queued-event estimate only).
+    :class:`FastSimulation` sizes its per-bucket toggle/restart columns with
+    it (candidate payments are sampled per bucket and never queued, so the
+    estimate counts queued events only).
     """
     return min(max(int(expected_events / per_bucket) + 2, MIN_BUCKETS), MAX_BUCKETS)
 
@@ -176,126 +166,6 @@ _OP_DHT_PUBLISH = OP_INDEX["dht_publish"]
 _OP_DHT_READ = OP_INDEX["dht_read"]
 _OP_LAYERED = OP_INDEX["layered_transfer"]
 _BROKER_OP_IDX = tuple(OP_INDEX[op] for op in BROKER_OPS)
-
-
-def _resolve_numpy(use_numpy: bool | None):
-    """The numpy module to accelerate with, or ``None`` for pure Python."""
-    if use_numpy is None:
-        env = os.environ.get("WHOPAY_NUMPY", "").strip().lower()
-        if env in ("0", "off", "false", "no"):
-            return None
-        return _np
-    return _np if use_numpy else None
-
-
-class BucketQueue:
-    """Calendar-queue scheduler: coarse time buckets, exact event order.
-
-    ``push`` appends into the bucket ``int(time / width)`` in O(1); a bucket
-    is heapified once, when the consumer first reaches it, and same-bucket
-    pushes after that point go through ``heappush``.  Because every
-    dynamically scheduled event lies at or after the current simulation
-    time, no push can target an already-drained bucket, so the global pop
-    order is exactly the reference heap's ``(time, kind, seq)`` order.
-    Events beyond the configured span (renewals scheduled past the horizon)
-    are clamped into the last bucket, whose heap keeps them ordered; the run
-    loop stops at the first event past the horizon, exactly like the
-    reference engine.  Lazy deletion is inherited from the model itself:
-    stale renewal entries are recognized and skipped at fire time
-    (retired/unissued coins), never re-heapified.
-    """
-
-    __slots__ = ("width", "n_buckets", "buckets", "_cursor", "_count", "_live")
-
-    def __init__(self, duration: float, n_buckets: int) -> None:
-        self.n_buckets = max(2, n_buckets)
-        # The last bucket starts at `duration` and holds the overflow.
-        self.width = duration / (self.n_buckets - 1)
-        self.buckets: list[list[tuple[float, int, int, int]]] = [
-            [] for _ in range(self.n_buckets)
-        ]
-        self._cursor = 0
-        self._count = 0
-        self._live = False
-
-    @classmethod
-    def for_config(cls, config: SimConfig, per_bucket: int = 256) -> "BucketQueue":
-        """Size buckets so ~``per_bucket`` events land in each."""
-        return cls(config.duration, bucket_count(expected_event_count(config), per_bucket))
-
-    def push(self, entry: tuple[float, int, int, int]) -> None:
-        index = int(entry[0] / self.width)
-        if index >= self.n_buckets:
-            index = self.n_buckets - 1
-        bucket = self.buckets[index]
-        if index == self._cursor and self._live:
-            heapq.heappush(bucket, entry)
-        else:
-            bucket.append(entry)
-        self._count += 1
-
-    def pop(self) -> tuple[float, int, int, int] | None:
-        if not self._count:
-            return None
-        cursor = self._cursor
-        while True:
-            bucket = self.buckets[cursor]
-            if not self._live:
-                heapq.heapify(bucket)
-                self._live = True
-            if bucket:
-                self._count -= 1
-                return heapq.heappop(bucket)
-            # Drained: release and march on (count > 0 guarantees a hit).
-            self.buckets[cursor] = []
-            cursor += 1
-            self._cursor = cursor
-            self._live = False
-
-
-class EventSampledSimulation(Simulation):
-    """The reference simulation on the calendar-queue scheduler.
-
-    Overrides only event storage (``_push``) and the pop loop (``run``);
-    every model decision, random draw and metric update is inherited, so
-    results are bit-identical to :class:`Simulation` for every seed — the
-    property the equivalence test sweeps.
-    """
-
-    def __init__(self, config: SimConfig) -> None:
-        super().__init__(config)
-        self._queue = BucketQueue.for_config(config)
-
-    def _push(self, time: float, kind: int, subject: int) -> None:
-        self._seq += 1
-        self._queue.push((time, kind, self._seq, subject))
-
-    def run(self) -> SimResult:
-        self._initialize()
-        duration = self.config.duration
-        queue = self._queue
-        events = 0
-        while True:
-            entry = queue.pop()
-            if entry is None:
-                break
-            time, kind, _seq, subject = entry
-            if time > duration:
-                break
-            self.now = time
-            events += 1
-            if kind == _PAYMENT:
-                self._on_payment(subject)
-            elif kind == _TOGGLE:
-                self._on_toggle(subject)
-            elif kind == _RENEWAL:
-                self._on_renewal_due(subject)
-            else:
-                self._on_broker_restart()
-        self.metrics.events = events
-        return SimResult(
-            config=self.config, metrics=self.metrics, final_time=min(self.now, duration)
-        )
 
 
 class _BlockStream:
@@ -370,7 +240,7 @@ class FastSimulation:
         )
         apply_heartbeat_model(self.metrics, config)
         self.now = 0.0
-        self._np = _resolve_numpy(use_numpy)
+        self._np = _np if use_numpy is None or use_numpy else None
         self._lazy = config.sync_mode == "lazy"
         self._track = config.track_per_peer
         self._detection = config.detection
@@ -439,16 +309,17 @@ class FastSimulation:
         # ``now + 0.9 * renewal_period`` with ``now`` monotone, so the FIFO
         # is always time-sorted without a heap), and the full toggle/restart
         # schedule is precomputed by ``_initialize`` into per-bucket CSR
-        # columns — no :class:`BucketQueue` and no event tuples at all; this
-        # engine only needs the bucket geometry, sized for the toggle count.
+        # columns — no event queue and no event tuples at all; this engine
+        # only needs the bucket geometry, sized for the toggle count.
         qevents = (
             n
             + config.broker_restarts
             + config.duration * 2.0 * n / (config.mean_online + config.mean_offline)
         )
         self._n_buckets = max(2, bucket_count(qevents))
-        # The last bucket starts exactly at ``duration`` (same geometry as
-        # BucketQueue) and catches events at the horizon itself.
+        # ``n_buckets - 1`` equal buckets cover ``[0, duration)``; the last
+        # bucket starts exactly at ``duration`` and catches events at the
+        # horizon itself.
         self._width = config.duration / (self._n_buckets - 1)
         # Renewal FIFO as two parallel columns with a head cursor instead of
         # a deque of tuples: appends stay O(1) and time-sorted (every entry
@@ -1506,24 +1377,28 @@ class FastSimulation:
         metrics.events = self._cand_events + self._qevents
 
 
-def build_simulation(config: SimConfig, engine: str | None = None):
-    """Build the requested engine: ``fast``, ``reference`` or ``compat``.
+def resolve_engine(engine: str | None = None) -> str:
+    """The engine name to run: ``engine`` if given, else the
+    ``WHOPAY_SIM_ENGINE`` environment override, else ``fast``.
 
-    ``None`` (or the empty string) resolves through the
-    ``WHOPAY_SIM_ENGINE`` environment override and then defaults to the
-    struct-of-arrays ``fast`` engine — the measurement engine for every
-    figure and benchmark.  ``reference`` (the original event loop) and
-    ``compat`` (its bit-identical calendar-queue port) survive as
-    equivalence oracles and must be requested explicitly.
+    The one reader of ``WHOPAY_SIM_ENGINE``; :func:`build_simulation` and
+    the sweep runner both resolve through it.
     """
-    if not engine:
-        engine = os.environ.get("WHOPAY_SIM_ENGINE") or "fast"
+    return engine or os.environ.get("WHOPAY_SIM_ENGINE") or "fast"
+
+
+def build_simulation(config: SimConfig, engine: str | None = None):
+    """Build the requested engine: ``fast`` or ``reference``.
+
+    ``None`` (or the empty string) resolves through :func:`resolve_engine`
+    and so defaults to the struct-of-arrays ``fast`` engine — the
+    measurement engine for every figure and benchmark.  ``reference`` (the
+    original event loop) is the equivalence oracle and must be requested
+    explicitly.
+    """
+    engine = resolve_engine(engine)
     if engine == "fast":
         return FastSimulation(config)
     if engine == "reference":
         return Simulation(config)
-    if engine == "compat":
-        return EventSampledSimulation(config)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-
-

@@ -15,10 +15,8 @@ Environment knobs (all optional):
 
 * ``WHOPAY_WORKERS`` — pool size (``auto``/empty → CPU count; malformed
   values warn and fall back instead of killing the sweep);
-* ``WHOPAY_SIM_ENGINE`` — default engine for sweep points (``fast``,
-  ``reference``, or ``compat``; see :mod:`repro.sim.engine`);
-* ``WHOPAY_CHUNK`` — ``pool.map`` chunksize override (default: spread
-  points evenly at ~4 chunks per worker);
+* ``WHOPAY_SIM_ENGINE`` — default engine for sweep points (``fast`` or
+  ``reference``; read by :func:`repro.sim.engine.resolve_engine`);
 * ``WHOPAY_PROFILE`` — directory for per-point cProfile dumps.
 
 Every row is stamped with its ``engine`` plus ``wall_s`` /
@@ -41,7 +39,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.core.clock import HOUR
 from repro.sim.config import SimConfig, setup_a_configs, setup_b_configs
-from repro.sim.engine import build_simulation
+from repro.sim.engine import build_simulation, resolve_engine
 from repro.sim.policies import Policy
 
 
@@ -53,11 +51,6 @@ TIMING_COLUMNS = ("wall_s", "events_per_sec", "peak_rss_kb")
 def strip_timing(row: dict[str, Any]) -> dict[str, Any]:
     """A copy of ``row`` without :data:`TIMING_COLUMNS` (for bitwise compares)."""
     return {k: v for k, v in row.items() if k not in TIMING_COLUMNS}
-
-
-def _resolve_engine(engine: str | None) -> str:
-    """Explicit argument, else the ``WHOPAY_SIM_ENGINE`` env, else fast."""
-    return engine or os.environ.get("WHOPAY_SIM_ENGINE") or "fast"
 
 
 def _peak_rss_kb() -> int | None:
@@ -81,7 +74,7 @@ def run_one(config: SimConfig, engine: str | None = None) -> dict[str, Any]:
     """
     import time
 
-    engine = _resolve_engine(engine)
+    engine = resolve_engine(engine)
     sim = build_simulation(config, engine)
     profile_dir = os.environ.get("WHOPAY_PROFILE")
     if profile_dir:
@@ -173,17 +166,7 @@ def default_workers() -> int:
 
 def _default_chunksize(n_points: int, workers: int) -> int:
     """Chunk sweep points so each worker sees ~4 chunks (amortizes IPC
-    without serializing the tail); ``WHOPAY_CHUNK`` overrides."""
-    env = (os.environ.get("WHOPAY_CHUNK") or "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            warnings.warn(
-                f"ignoring malformed WHOPAY_CHUNK={env!r} (expected an integer)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    without serializing the tail)."""
     return max(1, n_points // (workers * 4))
 
 
@@ -214,15 +197,15 @@ def run_sweep_parallel(
     configs: Iterable[SimConfig],
     max_workers: int | None = None,
     engine: str | None = None,
-    chunksize: int | None = None,
 ) -> list[dict[str, Any]]:
     """Run independent sweep points on a process pool, preserving order.
 
     Returns exactly what ``[run_one(c, engine) for c in configs]`` would:
     each point is seeded by its config and workers share no state, so rows
     are bit-identical to the sequential runner's modulo the wall-clock
-    :data:`TIMING_COLUMNS` stamps.  With one config (or one
-    worker available and one config) the pool is skipped entirely.  Points
+    :data:`TIMING_COLUMNS` stamps.  With one worker (one config, or
+    ``max_workers``/``WHOPAY_WORKERS`` of 1, or a single CPU) the points
+    run sequentially in this process and no pool is started.  Points
     ship to workers in chunks (see :func:`_default_chunksize`) so short
     sweep points don't pay one IPC round-trip each.
 
@@ -232,11 +215,11 @@ def run_sweep_parallel(
     configs = list(configs)
     if not configs:
         return []
-    engine = _resolve_engine(engine)
+    engine = resolve_engine(engine)
     workers = min(max_workers or default_workers(), len(configs))
-    if workers <= 1 and len(configs) == 1:
-        return [run_one(configs[0], engine)]
-    chunk = chunksize or _default_chunksize(len(configs), workers)
+    if workers <= 1:
+        return [run_one(config, engine) for config in configs]
+    chunk = _default_chunksize(len(configs), workers)
     # ``map`` yields in submission order regardless of completion order;
     # ``partial`` keeps the callable picklable for the worker processes.
     return list(_pool(workers).map(partial(run_one, engine=engine), configs, chunksize=chunk))
@@ -247,10 +230,7 @@ def _run_points(
     parallel: bool,
     engine: str | None = None,
 ) -> list[dict[str, Any]]:
-    if parallel:
-        return run_sweep_parallel(configs, engine=engine)
-    engine = _resolve_engine(engine)
-    return [run_one(config, engine) for config in configs]
+    return run_sweep_parallel(configs, max_workers=None if parallel else 1, engine=engine)
 
 
 # -- replication --------------------------------------------------------------

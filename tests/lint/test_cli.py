@@ -16,7 +16,7 @@ SRC = os.path.join(HERE, "..", "..", "src")
 
 def test_self_check_committed_tree_is_clean(capsys):
     """`python -m repro.lint src/` exits 0 with zero findings, no baseline."""
-    code = main([SRC, "--no-baseline", "--no-cache", "--format", "json"])
+    code = main([SRC, "--no-baseline", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["findings"] == []
@@ -24,11 +24,12 @@ def test_self_check_committed_tree_is_clean(capsys):
 
 
 def test_bad_fixture_fails_with_exit_1(capsys):
-    code = main([os.path.join(FIXTURES, "wp103_bad.py"), "--no-baseline", "--no-cache"])
+    code = main([os.path.join(FIXTURES, "wp103_bad.py"), "--no-baseline"])
     out = capsys.readouterr().out
     assert code == 1
     assert "WP103" in out
-    assert "file(s) [cache: disabled]" in out.strip().splitlines()[-1]
+    summary = out.strip().splitlines()[-1]
+    assert summary.startswith("FAIL: ") and summary.endswith("file(s)")
 
 
 def test_json_format_shape(capsys):
@@ -36,14 +37,21 @@ def test_json_format_shape(capsys):
         [
             os.path.join(FIXTURES, "wp104_bad.py"),
             "--no-baseline",
-            "--no-cache",
             "--format",
             "json",
         ]
     )
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert payload["cache"] == "disabled"
+    assert set(payload) == {
+        "version",
+        "checked_files",
+        "suppressed",
+        "exempted",
+        "baselined",
+        "stale_baseline_entries",
+        "findings",
+    }
     assert {f["code"] for f in payload["findings"]} == {"WP104"}
     for finding in payload["findings"]:
         assert set(finding) == {"path", "line", "col", "code", "message", "fingerprint"}
@@ -54,7 +62,6 @@ def test_sarif_format_from_the_cli(capsys):
         [
             os.path.join(FIXTURES, "wp104_bad.py"),
             "--no-baseline",
-            "--no-cache",
             "--format",
             "sarif",
         ]
@@ -66,42 +73,13 @@ def test_sarif_format_from_the_cli(capsys):
     assert results and all(r["ruleId"] == "WP104" for r in results)
 
 
-def test_cache_status_transitions(tmp_path, capsys):
-    """cold on first run, full-hit on an unchanged tree, partial after an edit."""
-    cache = str(tmp_path / "cache.json")
-    tree = tmp_path / "tree"
-    tree.mkdir()
-    (tree / "a.py").write_text(
-        "# wp-lint: module=repro.core.a\nx = pow(2, 3)\n", encoding="utf-8"
-    )
-    (tree / "b.py").write_text(
-        "# wp-lint: module=repro.core.b\ny = 1\n", encoding="utf-8"
-    )
-    argv = [str(tree), "--no-baseline", "--cache-file", cache, "--format", "json"]
-
-    main(argv)
-    first = json.loads(capsys.readouterr().out)
-    assert first["cache"] == "cold"
-
-    main(argv)
-    second = json.loads(capsys.readouterr().out)
-    assert second["cache"] == "full-hit"
-
-    (tree / "b.py").write_text(
-        "# wp-lint: module=repro.core.b\ny = 2\n", encoding="utf-8"
-    )
-    main(argv)
-    third = json.loads(capsys.readouterr().out)
-    assert third["cache"] == "partial-hit:1/2"
-
-
 def test_write_baseline_then_clean(tmp_path, capsys):
     baseline = str(tmp_path / "baseline.json")
     bad = os.path.join(FIXTURES, "wp102_bad.py")
-    assert main([bad, "--baseline", baseline, "--no-cache", "--write-baseline"]) == 0
+    assert main([bad, "--baseline", baseline, "--write-baseline"]) == 0
     capsys.readouterr()
     # Same findings, now grandfathered: exit 0, reported as baselined.
-    code = main([bad, "--baseline", baseline, "--no-cache", "--format", "json"])
+    code = main([bad, "--baseline", baseline, "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["findings"] == []
@@ -112,16 +90,28 @@ def test_stale_baseline_entries_surface(tmp_path, capsys):
     baseline = str(tmp_path / "baseline.json")
     bad = os.path.join(FIXTURES, "wp104_bad.py")
     good = os.path.join(FIXTURES, "wp104_good.py")
-    main([bad, "--baseline", baseline, "--no-cache", "--write-baseline"])
+    main([bad, "--baseline", baseline, "--write-baseline"])
     capsys.readouterr()
-    code = main([good, "--baseline", baseline, "--no-cache"])
+    code = main([good, "--baseline", baseline])
     out = capsys.readouterr().out
     assert code == 0
     assert "stale baseline entry" in out
 
 
+def test_undecodable_file_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.py"
+    bad.write_bytes(b"name = '\xe9t\xe9'\n")
+    code = main([str(bad), "--no-baseline", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    [finding] = payload["findings"]
+    assert finding["code"] == "WP100"
+    assert finding["message"] == "file does not parse: file is not valid UTF-8"
+    assert (finding["line"], finding["col"]) == (1, 0)
+
+
 def test_missing_path_is_a_usage_error(capsys):
-    assert main(["definitely/not/a/path.py", "--no-cache"]) == 2
+    assert main(["definitely/not/a/path.py"]) == 2
     assert "error" in capsys.readouterr().err
 
 

@@ -1,10 +1,7 @@
-"""The equivalence gate between the three simulation engines.
+"""The equivalence gate between the two simulation engines.
 
-Three layers of guarantee (see ``docs/SIMULATOR.md``):
+Two layers of guarantee (see ``docs/SIMULATOR.md``):
 
-* **compat ≡ reference, exactly.**  The calendar-queue engine replays the
-  reference event order draw for draw, so every metric must be
-  bit-identical for every seed and every configuration knob.
 * **fast is deterministic.**  Same seed → same metrics, with numpy and
   without (``use_numpy=False`` forces the pure-Python fallback).
 * **fast ≡ reference, statistically.**  The fast engine consumes its
@@ -36,7 +33,6 @@ from repro.sim.engine import (
     ENGINES,
     MAX_BUCKETS,
     MIN_BUCKETS,
-    EventSampledSimulation,
     FastSimulation,
     bucket_count,
     build_simulation,
@@ -113,9 +109,8 @@ def run_metrics(config: SimConfig, engine: str):
 
 class TestBuildSimulation:
     def test_engine_names(self):
-        assert ENGINES == ("reference", "compat", "fast")
+        assert ENGINES == ("reference", "fast")
         assert type(build_simulation(cfg(), "reference")) is Simulation
-        assert type(build_simulation(cfg(), "compat")) is EventSampledSimulation
         assert type(build_simulation(cfg(), "fast")) is FastSimulation
 
     def test_default_is_fast(self, monkeypatch):
@@ -130,7 +125,7 @@ class TestBuildSimulation:
         assert type(build_simulation(cfg(), "")) is Simulation
 
     def test_explicit_engine_beats_env(self, monkeypatch):
-        monkeypatch.setenv("WHOPAY_SIM_ENGINE", "compat")
+        monkeypatch.setenv("WHOPAY_SIM_ENGINE", "reference")
         assert type(build_simulation(cfg(), "fast")) is FastSimulation
 
     def test_unknown_engine_rejected(self, monkeypatch):
@@ -144,7 +139,7 @@ class TestBuildSimulation:
 
 
 class TestBucketCount:
-    """The shared calendar sizing rule (compat queue and fast engine)."""
+    """The fast engine's bucket sizing rule."""
 
     def test_targets_per_bucket_density(self):
         assert bucket_count(256_000, per_bucket=256) == 1002
@@ -159,24 +154,6 @@ class TestBucketCount:
     def test_monotone_in_event_count(self):
         counts = [bucket_count(float(n)) for n in (0, 10**3, 10**5, 10**7, 10**9)]
         assert counts == sorted(counts)
-
-
-class TestCompatBitIdentical:
-    """The calendar queue changes the schedule, not one single draw."""
-
-    def test_ten_plus_seeds_identical(self):
-        for seed in range(12):
-            config = cfg(seed=seed)
-            ref = run_metrics(config, "reference")
-            compat = run_metrics(config, "compat")
-            assert compat == ref, f"seed {seed}"
-            assert compat.ops == ref.ops
-            assert compat.payments_made == ref.payments_made
-
-    @pytest.mark.parametrize("variant", sorted(VARIANTS))
-    def test_every_variant_identical(self, variant):
-        config = cfg(seed=7, **VARIANTS[variant])
-        assert run_metrics(config, "compat") == run_metrics(config, "reference")
 
 
 class TestFastDeterministic:

@@ -62,6 +62,22 @@ class TestParallelDeterminism:
             strip_timing(run_one(replace(TINY, seed=4)))
         ]
 
+    @pytest.mark.parametrize("how", ["argument", "env"])
+    def test_one_worker_runs_sequentially_without_a_pool(self, monkeypatch, how):
+        def no_pool(max_workers):
+            raise AssertionError(f"pool of {max_workers} started for one worker")
+
+        monkeypatch.setattr(runner, "_pool", no_pool)
+        configs = [replace(TINY, seed=s) for s in (71, 72, 73)]
+        if how == "env":
+            monkeypatch.setenv("WHOPAY_WORKERS", "1")
+            rows = run_sweep_parallel(configs)
+        else:
+            rows = run_sweep_parallel(configs, max_workers=1)
+        assert [strip_timing(r) for r in rows] == [
+            strip_timing(run_one(c)) for c in configs
+        ]
+
     def test_pool_reuse(self):
         configs = [replace(TINY, seed=s) for s in (5, 6)]
         first = run_sweep_parallel(configs, max_workers=2)
@@ -94,22 +110,9 @@ class TestWorkerAndChunkKnobs:
         with pytest.warns(RuntimeWarning, match="malformed WHOPAY_WORKERS"):
             assert default_workers() == (os.cpu_count() or 1)
 
-    def test_chunksize_default_and_override(self, monkeypatch):
-        monkeypatch.delenv("WHOPAY_CHUNK", raising=False)
+    def test_chunksize_default_and_override(self):
         assert _default_chunksize(32, 4) == 2
         assert _default_chunksize(3, 8) == 1  # never zero
-        monkeypatch.setenv("WHOPAY_CHUNK", "5")
-        assert _default_chunksize(32, 4) == 5
-        monkeypatch.setenv("WHOPAY_CHUNK", "bogus")
-        with pytest.warns(RuntimeWarning, match="malformed WHOPAY_CHUNK"):
-            assert _default_chunksize(32, 4) == 2
-
-    def test_explicit_chunksize_matches_default_rows(self):
-        configs = [replace(TINY, seed=s) for s in (31, 32, 33, 34)]
-        chunked = run_sweep_parallel(configs, max_workers=2, chunksize=2)
-        assert [strip_timing(r) for r in chunked] == [
-            strip_timing(run_one(c)) for c in configs
-        ]
 
 
 class TestEngineSelection:
@@ -119,29 +122,21 @@ class TestEngineSelection:
         assert row["events"] > 0
 
     def test_env_default_engine(self, monkeypatch):
-        monkeypatch.setenv("WHOPAY_SIM_ENGINE", "compat")
-        assert run_one(replace(TINY, seed=41))["engine"] == "compat"
+        monkeypatch.setenv("WHOPAY_SIM_ENGINE", "reference")
+        assert run_one(replace(TINY, seed=41))["engine"] == "reference"
 
     def test_explicit_engine_beats_env(self, monkeypatch):
         monkeypatch.setenv("WHOPAY_SIM_ENGINE", "fast")
         row = run_one(replace(TINY, seed=41), engine="reference")
         assert row["engine"] == "reference"
 
-    def test_compat_rows_identical_to_reference(self):
-        config = replace(TINY, seed=42)
-        ref = strip_timing(run_one(config, engine="reference"))
-        compat = strip_timing(run_one(config, engine="compat"))
-        assert {k: v for k, v in ref.items() if k != "engine"} == {
-            k: v for k, v in compat.items() if k != "engine"
-        }
-
     def test_parallel_pins_engine_in_parent(self, monkeypatch):
         # The engine resolves before configs ship to workers, so rows agree
         # with the sequential run even though workers re-read the env.
-        monkeypatch.setenv("WHOPAY_SIM_ENGINE", "compat")
+        monkeypatch.setenv("WHOPAY_SIM_ENGINE", "reference")
         configs = [replace(TINY, seed=s) for s in (51, 52)]
         rows = run_sweep_parallel(configs, max_workers=2)
-        assert [row["engine"] for row in rows] == ["compat", "compat"]
+        assert [row["engine"] for row in rows] == ["reference", "reference"]
 
 
 class TestProfileHooks:
